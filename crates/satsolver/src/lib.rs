@@ -4,7 +4,7 @@
 //! locking (crate `autolock-attacks`). It provides:
 //!
 //! * [`Solver`] — a conflict-driven clause-learning (CDCL) SAT solver with
-//!   two-watched-literal propagation, VSIDS-style activity decision heuristic,
+//!   two-watched-literal propagation, a VSIDS activity heap for decisions,
 //!   first-UIP clause learning, non-chronological backtracking, geometric
 //!   restarts and incremental solving under assumptions;
 //! * [`CnfFormula`] — a clause container with DIMACS import/export;
@@ -36,6 +36,7 @@
 
 mod cnf;
 pub mod encode;
+mod heap;
 mod snapshot;
 mod solver;
 mod types;

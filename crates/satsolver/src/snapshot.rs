@@ -16,7 +16,15 @@
 //! deterministic budget baselines (`base_conflicts`/`base_propagations`)
 //! *are* carried, so a propagation-capped call that was paused keeps
 //! counting against the same per-call baseline after resuming.
+//!
+//! Nor does it carry state the solver derives from what it does carry: the
+//! decision heap (a function of the assignment and the activities) and the
+//! conflict-analysis marks (all clear between conflicts).
+//! [`Solver::from_snapshot`] rebuilds both, so the heap changed nothing in
+//! the serialized format and snapshots written before it still load and
+//! resume on the same search path.
 
+use crate::heap::VarHeap;
 use crate::solver::{Clause, Solver};
 use crate::{Lit, SolveBudget, SolverStats};
 use serde::{Deserialize, Serialize};
@@ -66,7 +74,9 @@ impl SolverSnapshot {
     }
 
     /// Structural consistency check: every cross-index in the snapshot must
-    /// be in range. Returns the first problem found.
+    /// be in range, and the assignment must be one the solver could have
+    /// produced (the decision heap is rebuilt from it). Returns the first
+    /// problem found.
     fn validate(&self) -> Result<(), String> {
         let nvars = self.assigns.len();
         let nclauses = self.clauses.len();
@@ -104,8 +114,20 @@ impl SolverSnapshot {
                 return Err(format!("clause literal {l} exceeds {nvars} variables"));
             }
         }
+        for (name, values) in [("assigns", &self.assigns), ("model", &self.model)] {
+            if let Some(x) = values.iter().find(|x| !(-1..=1).contains(*x)) {
+                return Err(format!("snapshot field {name} holds value {x}"));
+            }
+        }
         if let Some(l) = self.trail.iter().find(|l| l.var().index() >= nvars) {
             return Err(format!("trail literal {l} exceeds {nvars} variables"));
+        }
+        if let Some(l) = self
+            .trail
+            .iter()
+            .find(|l| self.assigns[l.var().index()] == 0)
+        {
+            return Err(format!("trail literal {l} is unassigned"));
         }
         if self.qhead > self.trail.len() {
             return Err(format!(
@@ -118,6 +140,12 @@ impl SolverSnapshot {
             return Err(format!(
                 "decision-level limit {lim} beyond trail length {}",
                 self.trail.len()
+            ));
+        }
+        if let Some(w) = self.trail_lim.windows(2).find(|w| w[0] > w[1]) {
+            return Err(format!(
+                "decision-level limits decrease: {} > {}",
+                w[0], w[1]
             ));
         }
         if !self.activity.iter().all(|a| a.is_finite()) || !self.var_inc.is_finite() {
@@ -160,8 +188,9 @@ impl Solver {
         }
     }
 
-    /// Rebuilds a solver from a snapshot. The budget and pause granule are
-    /// reset to their defaults (unbounded, no pausing) — re-arm them with
+    /// Rebuilds a solver from a snapshot, deriving the decision heap from
+    /// the restored assignment and activities. The budget and pause granule
+    /// are reset to their defaults (unbounded, no pausing) — re-arm them with
     /// [`Solver::set_budget`] / [`Solver::set_pause_granule`] before the
     /// next solve call; the per-call baselines carried by the snapshot keep
     /// deterministic (conflict/propagation) budgets consistent across the
@@ -174,6 +203,9 @@ impl Solver {
     /// instead of panicking deep inside the search.
     pub fn from_snapshot(snapshot: SolverSnapshot) -> Result<Solver, String> {
         snapshot.validate()?;
+        let nvars = snapshot.num_vars();
+        let unassigned = (0..nvars).filter(|&v| snapshot.assigns[v] == 0);
+        let order = VarHeap::build(&snapshot.activity, unassigned);
         Ok(Solver {
             clauses: snapshot
                 .clauses
@@ -189,6 +221,8 @@ impl Solver {
             qhead: snapshot.qhead,
             activity: snapshot.activity,
             var_inc: snapshot.var_inc,
+            order,
+            seen: vec![false; nvars],
             polarity: snapshot.polarity,
             model: snapshot.model,
             ok: snapshot.ok,
@@ -350,6 +384,24 @@ mod tests {
 
         let mut bad = good.clone();
         bad.activity[0] = f64::NAN;
+        assert!(Solver::from_snapshot(bad).is_err());
+
+        let mut bad = good.clone();
+        bad.assigns[0] = 2;
+        assert!(Solver::from_snapshot(bad).is_err());
+
+        let mut bad = good.clone();
+        bad.model[0] = -2;
+        assert!(Solver::from_snapshot(bad).is_err());
+
+        let mut bad = good.clone();
+        let v = bad.trail[0].var().index();
+        bad.assigns[v] = 0;
+        assert!(Solver::from_snapshot(bad).is_err());
+
+        let mut bad = good.clone();
+        assert!(bad.trail_lim.len() >= 2, "need two decision levels");
+        bad.trail_lim.swap(0, 1);
         assert!(Solver::from_snapshot(bad).is_err());
 
         assert!(Solver::from_snapshot(good).is_ok());

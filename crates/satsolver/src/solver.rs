@@ -1,5 +1,6 @@
 //! The CDCL solver.
 
+use crate::heap::VarHeap;
 use crate::{Lit, Var};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -119,6 +120,17 @@ const UNDEF: i8 = 0;
 /// incremental: clauses may be added between [`Solver::solve`] calls and
 /// [`Solver::solve_with_assumptions`] temporarily fixes literals without
 /// permanently constraining the formula.
+///
+/// # Decision order
+///
+/// Each decision branches on the unassigned variable with the highest VSIDS
+/// activity; among equal activities the lowest variable index wins. The
+/// variables sit in a binary max-heap under exactly that order, so a
+/// decision costs O(log n) instead of a scan over every variable, and the
+/// pick is the one the scan would make. The search path — decisions,
+/// propagations, learnt clauses — is part of the contract: conflict and
+/// propagation budgets cut off at the same point on every machine and
+/// checkpoints taken by earlier versions resume identically.
 #[derive(Debug, Clone)]
 pub struct Solver {
     pub(crate) clauses: Vec<Clause>,
@@ -133,6 +145,11 @@ pub struct Solver {
     pub(crate) qhead: usize,
     pub(crate) activity: Vec<f64>,
     pub(crate) var_inc: f64,
+    /// Unassigned variables in decision order (assigned ones may linger
+    /// until popped). Derived from `assigns` and `activity`.
+    pub(crate) order: VarHeap,
+    /// Per-variable marks of [`Solver::analyze`], all `false` between calls.
+    pub(crate) seen: Vec<bool>,
     pub(crate) polarity: Vec<bool>,
     pub(crate) model: Vec<i8>,
     pub(crate) ok: bool,
@@ -172,6 +189,8 @@ impl Solver {
             qhead: 0,
             activity: Vec::new(),
             var_inc: 1.0,
+            order: VarHeap::default(),
+            seen: Vec::new(),
             polarity: Vec::new(),
             model: Vec::new(),
             ok: true,
@@ -246,6 +265,8 @@ impl Solver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
+        self.order.push_var(&self.activity);
+        self.seen.push(false);
         self.polarity.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -298,22 +319,29 @@ impl Solver {
             assert!(l.var().index() < self.num_vars(), "unknown variable {l}");
         }
         // Simplify: sort, dedup, drop false literals, detect tautology and
-        // satisfied clauses.
-        let mut simplified: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted: Vec<Lit> = lits.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        for &l in &sorted {
-            if sorted.contains(&!l) && l.is_pos() {
+        // satisfied clauses. Sorting puts `x` (code 2v) right before `!x`
+        // (code 2v + 1), so a tautology shows as a positive literal followed
+        // by its negation.
+        let mut simplified: Vec<Lit> = lits.to_vec();
+        simplified.sort_unstable();
+        simplified.dedup();
+        let mut kept = 0;
+        for i in 0..simplified.len() {
+            let l = simplified[i];
+            if l.is_pos() && simplified.get(i + 1) == Some(&!l) {
                 // Tautology: always satisfied.
                 return true;
             }
             match self.lit_value(l) {
                 1 => return true, // already satisfied at level 0
-                -1 => continue,   // falsified at level 0: drop
-                _ => simplified.push(l),
+                -1 => {}          // falsified at level 0: drop
+                _ => {
+                    simplified[kept] = l;
+                    kept += 1;
+                }
             }
         }
+        simplified.truncate(kept);
         match simplified.len() {
             0 => {
                 self.ok = false;
@@ -356,6 +384,11 @@ impl Solver {
     }
 
     /// Unit propagation. Returns the index of a conflicting clause, if any.
+    ///
+    /// The watch list of each falsified literal is compacted in place: `i`
+    /// reads every watcher, `j` writes back the ones that stay, so the
+    /// survivors keep their relative order (which fixes the order of all
+    /// later propagations) without a second buffer.
     fn propagate(&mut self) -> Option<usize> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
@@ -363,11 +396,11 @@ impl Solver {
             self.stats.propagations += 1;
             let false_lit = !p;
             let watch_code = false_lit.code();
-            let ws = std::mem::take(&mut self.watches[watch_code]);
-            let mut keep = Vec::with_capacity(ws.len());
+            let mut ws = std::mem::take(&mut self.watches[watch_code]);
+            let n = ws.len();
             let mut conflict = None;
-            let mut i = 0;
-            while i < ws.len() {
+            let (mut i, mut j) = (0, 0);
+            while i < n {
                 let ci = ws[i];
                 i += 1;
                 // Make sure the falsified literal is at position 1.
@@ -379,7 +412,8 @@ impl Solver {
                 }
                 let first = self.clauses[ci].lits[0];
                 if self.lit_value(first) == 1 {
-                    keep.push(ci);
+                    ws[j] = ci;
+                    j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
@@ -401,10 +435,12 @@ impl Solver {
                     continue;
                 }
                 // Clause is unit or conflicting.
-                keep.push(ci);
+                ws[j] = ci;
+                j += 1;
                 if self.lit_value(first) == -1 {
                     // Conflict: keep the remaining watchers and stop.
-                    keep.extend_from_slice(&ws[i..]);
+                    ws.copy_within(i..n, j);
+                    j += n - i;
                     conflict = Some(ci);
                     self.qhead = self.trail.len();
                     break;
@@ -412,10 +448,11 @@ impl Solver {
                     self.unchecked_enqueue(first, Some(ci));
                 }
             }
-            // Restore the (possibly appended-to) watch list.
-            let appended = std::mem::take(&mut self.watches[watch_code]);
-            keep.extend(appended);
-            self.watches[watch_code] = keep;
+            ws.truncate(j);
+            // Restore the watch list, after it anything appended to it
+            // meanwhile (only a clause repeating a literal can do that).
+            let appended = std::mem::replace(&mut self.watches[watch_code], ws);
+            self.watches[watch_code].extend(appended);
             if conflict.is_some() {
                 return conflict;
             }
@@ -434,6 +471,7 @@ impl Solver {
             self.polarity[v] = self.assigns[v] == 1;
             self.assigns[v] = UNDEF;
             self.reason[v] = None;
+            self.order.insert(l.var(), &self.activity);
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(target_level);
@@ -447,6 +485,11 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Rescaling can round distinct activities to equal ones, which
+            // the index tie-break may order differently: re-heapify.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(v, &self.activity);
         }
     }
 
@@ -456,9 +499,12 @@ impl Solver {
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
     /// literal first) and the backtrack level.
+    ///
+    /// Marks go into the solver-owned `seen` buffer; when the UIP is found
+    /// only the variables of `learnt[1..]` are still marked, and exactly
+    /// those are cleared again.
     fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, usize) {
         let mut learnt: Vec<Lit> = vec![Lit::pos(Var(0))]; // slot 0 reserved for the UIP
-        let mut seen = vec![false; self.num_vars()];
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = conflict;
@@ -468,11 +514,11 @@ impl Solver {
         loop {
             let start = usize::from(p.is_some());
             // Collect literals from the current reason/conflict clause.
-            let clause_lits: Vec<Lit> = self.clauses[confl].lits[start..].to_vec();
-            for q in clause_lits {
+            for k in start..self.clauses[confl].lits.len() {
+                let q = self.clauses[confl].lits[k];
                 let v = q.var();
-                if !seen[v.index()] && self.level[v.index()] > 0 {
-                    seen[v.index()] = true;
+                if !self.seen[v.index()] && self.level[v.index()] > 0 {
+                    self.seen[v.index()] = true;
                     self.bump_var(v);
                     if self.level[v.index()] >= current_level {
                         counter += 1;
@@ -485,13 +531,13 @@ impl Solver {
             // literal that we've seen.
             loop {
                 index -= 1;
-                if seen[self.trail[index].var().index()] {
+                if self.seen[self.trail[index].var().index()] {
                     break;
                 }
             }
             let pl = self.trail[index];
             let pv = pl.var();
-            seen[pv.index()] = false;
+            self.seen[pv.index()] = false;
             counter -= 1;
             if counter == 0 {
                 p = Some(pl);
@@ -501,6 +547,9 @@ impl Solver {
             p = Some(pl);
         }
         learnt[0] = !p.expect("at least one literal at the conflict level");
+        for l in &learnt[1..] {
+            self.seen[l.var().index()] = false;
+        }
 
         // Compute backtrack level: the second-highest level in the clause.
         let backtrack_level = if learnt.len() == 1 {
@@ -518,7 +567,25 @@ impl Solver {
         (learnt, backtrack_level)
     }
 
-    fn pick_branch_var(&self) -> Option<Var> {
+    /// The next decision variable: the unassigned variable first in
+    /// decision order (see [`Solver`]). Assigned variables popped on the way
+    /// are dropped; `cancel_until` puts them back when they are unassigned.
+    fn pick_branch_var(&mut self) -> Option<Var> {
+        let pick = loop {
+            match self.order.pop(&self.activity) {
+                Some(v) if self.assigns[v.index()] != UNDEF => {}
+                pick => break pick,
+            }
+        };
+        #[cfg(test)]
+        assert_eq!(pick, self.scan_branch_var(), "heap and scan disagree");
+        pick
+    }
+
+    /// The O(vars) reference for [`Solver::pick_branch_var`]: highest
+    /// activity, lowest index on ties (`>=` keeps the earlier variable).
+    #[cfg(test)]
+    fn scan_branch_var(&self) -> Option<Var> {
         let mut best: Option<(usize, f64)> = None;
         for v in 0..self.num_vars() {
             if self.assigns[v] == UNDEF {
@@ -966,6 +1033,64 @@ mod tests {
         assert_eq!(bounded.solve(), SolveResult::Unsat);
         assert_eq!(plain.solve(), SolveResult::Unsat);
         assert_eq!(bounded.stats(), plain.stats());
+    }
+
+    /// `pick_branch_var` asserts (in test builds) that the heap picks what
+    /// the O(vars) scan picks; this drives it through many decisions: random
+    /// 3-SAT near the threshold, then PHP(8, 7), whose ~4.7k conflicts push
+    /// an activity past 1e100 and force a rescale.
+    #[test]
+    fn heap_pick_equals_scan_pick_at_every_decision() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let mut decisions = 0;
+        for _ in 0..40 {
+            let mut s = Solver::new();
+            s.reserve_vars(60);
+            for _ in 0..256 {
+                let c: Vec<Lit> = (0..3)
+                    .map(|_| Lit::new(Var(rng.gen_range(0..60)), rng.gen_bool(0.5)))
+                    .collect();
+                s.add_clause(&c);
+            }
+            s.solve();
+            decisions += s.stats().decisions;
+        }
+        assert!(decisions > 1000, "only {decisions} decisions");
+
+        // Pause at every conflict to see the rescale: `var_inc` only grows
+        // otherwise.
+        let mut s = Solver::new();
+        pigeonhole(&mut s, 8, 7);
+        s.set_pause_granule(Some(1));
+        let mut rescales = 0;
+        let result = loop {
+            let before = s.var_inc;
+            match s.solve() {
+                SolveResult::Paused => rescales += usize::from(s.var_inc < before),
+                verdict => break verdict,
+            }
+        };
+        assert_eq!(result, SolveResult::Unsat);
+        assert!(rescales > 0, "no activity rescale in {:?}", s.stats());
+    }
+
+    /// The rescale can round distinct activities to one value (here
+    /// `1e-300` underflows to 0); the tie then goes to the lower index, so
+    /// the heap must be re-ordered rather than left as it was.
+    #[test]
+    fn rescale_ties_fall_back_to_the_lowest_index() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 5);
+        s.activity = vec![0.0, 1e-300, 0.0, 1e-300, 0.0];
+        s.order = VarHeap::build(&s.activity, 0..5);
+        s.var_inc = 2e100;
+        s.bump_var(v[4]);
+        assert_eq!(s.activity[..4], [0.0; 4]);
+        assert_eq!(s.pick_branch_var(), Some(v[4]));
+        s.trail_lim.push(s.trail.len());
+        s.unchecked_enqueue(Lit::pos(v[4]), None);
+        assert_eq!(s.pick_branch_var(), Some(v[0]));
     }
 
     /// Brute-force model check used by the random CNF test below.

@@ -1,9 +1,11 @@
 //! `SolverStats` must be populated by real work: an UNSAT miter exercises
 //! decisions, propagations, conflicts and clause learning, and a pigeonhole
-//! instance runs long enough to cross the restart threshold.
+//! instance runs long enough to cross the restart threshold. The exact
+//! counters of two instances are pinned, so a change to the solver's hot
+//! path that alters the search path fails here.
 
 use autolock_netlist::{GateKind, Netlist};
-use autolock_satsolver::{CircuitEncoder, Lit, SolveResult, Solver};
+use autolock_satsolver::{CircuitEncoder, Lit, SolveResult, Solver, SolverStats};
 
 /// An 8-input parity/majority ladder — small, but enough structure that
 /// proving the self-miter UNSAT requires actual search, not pure
@@ -35,8 +37,7 @@ fn ladder() -> Netlist {
 /// Encodes two copies of the same circuit with shared primary inputs and
 /// asserts their outputs differ — unsatisfiable by construction, the same
 /// miter shape the SAT attack builds.
-#[test]
-fn unsat_miter_populates_all_core_stats() {
+fn ladder_miter() -> Solver {
     let nl = ladder();
     let mut solver = Solver::new();
     let enc_a = CircuitEncoder::encode(&mut solver, &nl);
@@ -56,7 +57,33 @@ fn unsat_miter_populates_all_core_stats() {
         diff.push(d);
     }
     solver.add_clause(&diff);
+    solver
+}
 
+/// The pigeonhole principle PHP(`pigeons`, `holes`), unsatisfiable when
+/// there are more pigeons than holes.
+fn pigeonhole(pigeons: usize, holes: usize) -> Solver {
+    let mut solver = Solver::new();
+    let vars: Vec<Vec<_>> = (0..pigeons)
+        .map(|_| (0..holes).map(|_| solver.new_var()).collect())
+        .collect();
+    for row in &vars {
+        let clause: Vec<Lit> = row.iter().map(|&v| Lit::pos(v)).collect();
+        solver.add_clause(&clause);
+    }
+    for h in 0..holes {
+        for (p1, row1) in vars.iter().enumerate() {
+            for row2 in &vars[p1 + 1..] {
+                solver.add_clause(&[Lit::neg(row1[h]), Lit::neg(row2[h])]);
+            }
+        }
+    }
+    solver
+}
+
+#[test]
+fn unsat_miter_populates_all_core_stats() {
+    let mut solver = ladder_miter();
     assert_eq!(solver.solve(), SolveResult::Unsat);
     let stats = solver.stats();
     assert!(stats.decisions > 0, "no decisions: {stats:?}");
@@ -65,31 +92,49 @@ fn unsat_miter_populates_all_core_stats() {
     assert!(stats.learned_clauses > 0, "no learned clauses: {stats:?}");
 }
 
-/// The pigeonhole principle PHP(8, 7): 8 pigeons cannot fit 7 holes. Hard
-/// enough for a CDCL solver that the conflict count crosses the first
-/// restart threshold, so the restart counter is exercised too.
+/// PHP(8, 7): 8 pigeons cannot fit 7 holes. Hard enough for a CDCL solver
+/// that the conflict count crosses the first restart threshold, so the
+/// restart counter is exercised too.
 #[test]
 fn pigeonhole_unsat_triggers_restarts() {
-    const PIGEONS: usize = 8;
-    const HOLES: usize = 7;
-    let mut solver = Solver::new();
-    let vars: Vec<Vec<_>> = (0..PIGEONS)
-        .map(|_| (0..HOLES).map(|_| solver.new_var()).collect())
-        .collect();
-    for holes in &vars {
-        let clause: Vec<Lit> = holes.iter().map(|&v| Lit::pos(v)).collect();
-        solver.add_clause(&clause);
-    }
-    for h in 0..HOLES {
-        for (p1, row1) in vars.iter().enumerate() {
-            for row2 in &vars[p1 + 1..] {
-                solver.add_clause(&[Lit::neg(row1[h]), Lit::neg(row2[h])]);
-            }
-        }
-    }
+    let mut solver = pigeonhole(8, 7);
     assert_eq!(solver.solve(), SolveResult::Unsat);
     let stats = solver.stats();
     assert!(stats.conflicts >= 100, "too easy: {stats:?}");
     assert!(stats.restarts > 0, "no restarts: {stats:?}");
     assert!(stats.decisions > 0 && stats.learned_clauses > 0);
+}
+
+/// Golden search path: every decision, propagation, conflict, learnt clause
+/// and restart of these two solves, as the solver made them before its hot
+/// path was optimised (O(vars) decision scan, fresh watch and `analyze`
+/// buffers). Optimisations must leave these numbers alone; a deliberate
+/// search change (new restart policy, clause reduction) re-pins them.
+#[test]
+fn search_path_is_pinned() {
+    let mut miter = ladder_miter();
+    assert_eq!(miter.solve(), SolveResult::Unsat);
+    assert_eq!(
+        miter.stats(),
+        SolverStats {
+            decisions: 121,
+            propagations: 1362,
+            conflicts: 107,
+            learned_clauses: 101,
+            restarts: 1,
+        }
+    );
+
+    let mut php = pigeonhole(7, 6);
+    assert_eq!(php.solve(), SolveResult::Unsat);
+    assert_eq!(
+        php.stats(),
+        SolverStats {
+            decisions: 956,
+            propagations: 9862,
+            conflicts: 806,
+            learned_clauses: 802,
+            restarts: 3,
+        }
+    );
 }
