@@ -101,10 +101,22 @@ impl GraphConv {
     }
 
     /// Backward pass: given dL/d(output), returns the parameter gradients and
-    /// dL/d(input).
+    /// dL/d(input): the parameter half followed by the input half.
     pub fn backward(
         &self,
         graph: &SubgraphTensor,
+        cache: &ConvCache,
+        grad_output: &Matrix,
+    ) -> (ConvGrads, Matrix) {
+        let (grads, grad_z) = self.param_backward(cache, grad_output);
+        (grads, self.input_backward(graph, &grad_z))
+    }
+
+    /// The parameter half of the backward pass: given dL/d(output), returns
+    /// the parameter gradients and dL/dZ (the pre-activation gradient that
+    /// the input half consumes).
+    pub(crate) fn param_backward(
+        &self,
         cache: &ConvCache,
         grad_output: &Matrix,
     ) -> (ConvGrads, Matrix) {
@@ -124,17 +136,21 @@ impl GraphConv {
                 *b += g;
             }
         }
+        let grads = ConvGrads {
+            weights: grad_w,
+            bias: grad_b,
+        };
+        (grads, grad_z)
+    }
+
+    /// The input half of the backward pass: dL/d(input) from dL/dZ. A stack
+    /// skips it for its first layer, whose input is the constant node
+    /// features.
+    pub(crate) fn input_backward(&self, graph: &SubgraphTensor, grad_z: &Matrix) -> Matrix {
         // dL/d(ÂX) = dZ Wᵀ, then back through the (symmetric-pattern but
         // asymmetric-weight) propagation: dX = Âᵀ (dZ Wᵀ).
         let grad_aggregated = grad_z.matmul_nt(&self.weights);
-        let grad_input = graph.propagate_transpose(&grad_aggregated);
-        (
-            ConvGrads {
-                weights: grad_w,
-                bias: grad_b,
-            },
-            grad_input,
-        )
+        graph.propagate_transpose(&grad_aggregated)
     }
 
     /// Applies one Adam update with the given (already batch-scaled)

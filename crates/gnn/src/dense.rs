@@ -48,6 +48,28 @@ impl DenseCache {
     }
 }
 
+/// One example's head gradient in factored form: layer `l`'s weight
+/// gradient is `outer(inputs[l], deltas[l])` and its bias gradient is
+/// `deltas[l]`. The outer products are only ever formed summed over a whole
+/// mini-batch, by [`DenseStack::batch_gradients`].
+#[derive(Debug, Clone)]
+pub struct HeadFactors {
+    inputs: Vec<Vec<f64>>,
+    deltas: Vec<Vec<f64>>,
+}
+
+impl HeadFactors {
+    /// Every layer's input, first layer first.
+    pub fn inputs(&self) -> &[Vec<f64>] {
+        &self.inputs
+    }
+
+    /// Every layer's dL/d(pre-activation), first layer first.
+    pub fn deltas(&self) -> &[Vec<f64>] {
+        &self.deltas
+    }
+}
+
 /// Per-layer parameter gradients of the head.
 #[derive(Debug, Clone)]
 pub struct DenseGrads {
@@ -56,34 +78,6 @@ pub struct DenseGrads {
 }
 
 impl DenseGrads {
-    /// Zero gradients shaped like `stack`.
-    pub fn zeros_like(stack: &DenseStack) -> Self {
-        DenseGrads {
-            weights: stack
-                .layers
-                .iter()
-                .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()))
-                .collect(),
-            bias: stack
-                .layers
-                .iter()
-                .map(|l| vec![0.0; l.bias.len()])
-                .collect(),
-        }
-    }
-
-    /// Accumulates another gradient contribution.
-    pub fn add(&mut self, other: &DenseGrads) {
-        for (a, b) in self.weights.iter_mut().zip(&other.weights) {
-            a.add_scaled(1.0, b);
-        }
-        for (a, b) in self.bias.iter_mut().zip(&other.bias) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
-    }
-
     /// Scales all gradients.
     pub fn scale(&mut self, alpha: f64) {
         for w in self.weights.iter_mut() {
@@ -132,48 +126,79 @@ impl DenseStack {
         let mut pre = Vec::with_capacity(self.layers.len());
         let mut current = input.to_vec();
         for (i, layer) in self.layers.iter().enumerate() {
-            inputs.push(current.clone());
             let mut z = layer.weights.matvec_t(&current);
             for (v, b) in z.iter_mut().zip(&layer.bias) {
                 *v += b;
             }
             let next = if i + 1 == self.layers.len() {
-                z.clone()
+                Vec::new()
             } else {
                 z.iter().map(|&v| v.max(0.0)).collect()
             };
             pre.push(z);
-            current = next;
+            inputs.push(std::mem::replace(&mut current, next));
         }
         DenseCache { inputs, pre }
     }
 
-    /// Backward pass from dL/d(logit); returns parameter gradients and
-    /// dL/d(input).
-    pub fn backward(&self, cache: &DenseCache, grad_logit: f64) -> (DenseGrads, Vec<f64>) {
-        let mut grads = DenseGrads::zeros_like(self);
+    /// Backward pass from dL/d(logit); returns the parameter gradients in
+    /// factored form and dL/d(input). Consumes the cache: its layer inputs
+    /// become the factors' inputs without a copy.
+    pub fn backward(&self, cache: DenseCache, grad_logit: f64) -> (HeadFactors, Vec<f64>) {
+        let mut deltas = vec![Vec::new(); self.layers.len()];
         let mut delta = vec![grad_logit];
         for idx in (0..self.layers.len()).rev() {
-            let layer = &self.layers[idx];
-            let input = &cache.inputs[idx];
-            // weights are in × out: dW[i][o] += input[i] * delta[o]
-            grads.weights[idx].add_outer(1.0, input, &delta);
-            for (b, d) in grads.bias[idx].iter_mut().zip(&delta) {
-                *b += d;
-            }
-            if idx > 0 {
-                let back = layer.weights.matvec(&delta);
-                let prev_pre = &cache.pre[idx - 1];
-                delta = back
-                    .iter()
-                    .zip(prev_pre)
+            // weights are in × out, so dL/d(input) = W · delta.
+            let back = self.layers[idx].weights.matvec(&delta);
+            let next = if idx > 0 {
+                back.iter()
+                    .zip(&cache.pre[idx - 1])
                     .map(|(&g, &z)| if z > 0.0 { g } else { 0.0 })
-                    .collect();
+                    .collect()
             } else {
-                delta = layer.weights.matvec(&delta);
-            }
+                back
+            };
+            deltas[idx] = std::mem::replace(&mut delta, next);
         }
-        (grads, delta)
+        let factors = HeadFactors {
+            inputs: cache.inputs,
+            deltas,
+        };
+        (factors, delta)
+    }
+
+    /// The summed parameter gradients of a mini-batch of examples.
+    ///
+    /// Layer `l`'s weight gradient is one `Uᵀ·Δ` product, where `U` stacks
+    /// the batch's layer-`l` inputs (`b × in`) and `Δ` its deltas
+    /// (`b × out`). The blocked kernel accumulates every entry from `0.0` in
+    /// increasing example order, which is exactly the example-order sum of
+    /// the per-example outer products: a running sum that starts at `+0.0`
+    /// absorbs a `-0.0` product the same way `0.0 + (-0.0) = +0.0` does.
+    /// Biases are summed in example order.
+    pub fn batch_gradients<'a>(
+        &self,
+        batch: impl IntoIterator<Item = &'a HeadFactors>,
+    ) -> DenseGrads {
+        let batch: Vec<&HeadFactors> = batch.into_iter().collect();
+        let stacked =
+            |rows: Vec<&[f64]>, cols: usize| Matrix::from_vec(rows.len(), cols, rows.concat());
+        let mut weights = Vec::with_capacity(self.layers.len());
+        let mut bias = Vec::with_capacity(self.layers.len());
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (in_dim, out_dim) = (layer.weights.rows(), layer.weights.cols());
+            let u = stacked(batch.iter().map(|f| &f.inputs[l][..]).collect(), in_dim);
+            let d = stacked(batch.iter().map(|f| &f.deltas[l][..]).collect(), out_dim);
+            weights.push(u.matmul_tn(&d));
+            let mut b = vec![0.0; out_dim];
+            for f in &batch {
+                for (x, v) in b.iter_mut().zip(&f.deltas[l]) {
+                    *x += v;
+                }
+            }
+            bias.push(b);
+        }
+        DenseGrads { weights, bias }
     }
 
     /// Applies one Adam update.
@@ -236,7 +261,7 @@ mod tests {
         let stack = DenseStack::new(5, &[4, 3], &mut rng);
         let x: Vec<f64> = (0..5).map(|i| 0.3 * i as f64 - 0.6).collect();
         let cache = stack.forward(&x);
-        let (_, grad_in) = stack.backward(&cache, 1.0);
+        let (_, grad_in) = stack.backward(cache, 1.0);
         let eps = 1e-6;
         for i in 0..x.len() {
             let mut xp = x.clone();

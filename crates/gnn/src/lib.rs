@@ -78,7 +78,7 @@ mod stream;
 mod tensor;
 
 pub use conv::{ConvCache, ConvGrads, GraphConv};
-pub use dense::{DenseCache, DenseGrads, DenseStack};
+pub use dense::{DenseCache, DenseGrads, DenseStack, HeadFactors};
 pub use model::{Dgcnn, DgcnnConfig};
 pub use sortpool::{SortPoolCache, SortPoolK, SortPooling};
 pub use stream::{GraphSource, SliceSource, SourceTensor};

@@ -1,7 +1,7 @@
 //! The full DGCNN: conv stack → channel concat → SortPooling → dense head.
 
 use crate::conv::{ConvCache, ConvGrads, GraphConv};
-use crate::dense::{DenseGrads, DenseStack};
+use crate::dense::{DenseGrads, DenseStack, HeadFactors};
 use crate::sortpool::{SortPoolK, SortPooling};
 use crate::stream::{GraphSource, SliceSource, SourceTensor};
 use crate::{LinkPredictor, SubgraphTensor};
@@ -75,33 +75,12 @@ pub struct Dgcnn {
     head: DenseStack,
 }
 
-/// All parameter gradients of one backward pass.
-struct Gradients {
+/// One example's backward pass: its loss, the conv parameter gradients,
+/// and the dense head's gradient in factored form.
+struct ExampleGrads {
+    loss: f64,
     convs: Vec<ConvGrads>,
-    head: DenseGrads,
-}
-
-impl Gradients {
-    fn zeros_like(model: &Dgcnn) -> Self {
-        Gradients {
-            convs: model.convs.iter().map(ConvGrads::zeros_like).collect(),
-            head: DenseGrads::zeros_like(&model.head),
-        }
-    }
-
-    fn add(&mut self, other: &Gradients) {
-        for (a, b) in self.convs.iter_mut().zip(&other.convs) {
-            a.add(b);
-        }
-        self.head.add(&other.head);
-    }
-
-    fn scale(&mut self, alpha: f64) {
-        for g in self.convs.iter_mut() {
-            g.scale(alpha);
-        }
-        self.head.scale(alpha);
-    }
+    head: HeadFactors,
 }
 
 impl Dgcnn {
@@ -230,22 +209,21 @@ impl Dgcnn {
             offset += w;
         }
         let (pooled, pool_cache) = self.pool.forward(&concat);
-        let flat: Vec<f64> = (0..pooled.rows())
-            .flat_map(|r| pooled.row(r).to_vec())
-            .collect();
-        let head_cache = self.head.forward(&flat);
+        // Row-major storage: the pooled matrix's data is the flattened head
+        // input.
+        let head_cache = self.head.forward(pooled.data());
         (caches, pool_cache, head_cache)
     }
 
-    /// Forward + backward on one example; returns `(loss, gradients)`.
-    fn forward_backward(&self, graph: &SubgraphTensor, label: f64) -> (f64, Gradients) {
+    /// Forward + backward on one example.
+    fn forward_backward(&self, graph: &SubgraphTensor, label: f64) -> ExampleGrads {
         let (conv_caches, pool_cache, head_cache) = self.forward(graph);
         let logit = head_cache.logit();
         let p = sigmoid(logit);
         let loss = binary_cross_entropy(p, label);
 
         // dL/dlogit for sigmoid + BCE.
-        let (head_grads, grad_flat) = self.head.backward(&head_cache, p - label);
+        let (head, grad_flat) = self.head.backward(head_cache, p - label);
 
         // Un-flatten into the pooled matrix shape and push through the pool.
         let total: usize = self.convs.iter().map(GraphConv::out_dim).sum();
@@ -254,7 +232,8 @@ impl Dgcnn {
 
         // Split the concat gradient per conv layer, then walk the stack
         // backwards: layer i receives its concat slice plus whatever layer
-        // i+1 propagated into its input.
+        // i+1 propagated into its input. Layer 0's input is the constant
+        // node features, so its input gradient is never formed.
         let n = graph.num_nodes();
         let mut conv_grads: Vec<Option<ConvGrads>> = (0..self.convs.len()).map(|_| None).collect();
         let mut carried: Option<Matrix> = None;
@@ -271,21 +250,22 @@ impl Dgcnn {
             if let Some(extra) = carried.take() {
                 grad_out.add_scaled(1.0, &extra);
             }
-            let (grads, grad_input) = self.convs[idx].backward(graph, &conv_caches[idx], &grad_out);
+            let conv = &self.convs[idx];
+            let (grads, grad_z) = conv.param_backward(&conv_caches[idx], &grad_out);
+            if idx > 0 {
+                carried = Some(conv.input_backward(graph, &grad_z));
+            }
             conv_grads[idx] = Some(grads);
-            carried = Some(grad_input);
             offset_end = offset;
         }
-        (
+        ExampleGrads {
             loss,
-            Gradients {
-                convs: conv_grads
-                    .into_iter()
-                    .map(|g| g.expect("every conv visited"))
-                    .collect(),
-                head: head_grads,
-            },
-        )
+            convs: conv_grads
+                .into_iter()
+                .map(|g| g.expect("every conv visited"))
+                .collect(),
+            head,
+        }
     }
 
     /// Trains for `config.epochs` epochs of mini-batch Adam; returns the mean
@@ -310,7 +290,7 @@ impl Dgcnn {
 
     /// The streamed training pipeline: examples are pulled from `source` one
     /// mini-batch chunk at a time, so at most one chunk of subgraph tensors
-    /// (plus its parameter-shaped gradients) is alive at any moment — peak
+    /// (plus its per-example gradients) is alive at any moment — peak
     /// memory no longer scales with the training-set size. Owned tensors are
     /// recycled back into the source the moment their example's pass
     /// finishes; per-example forward/backward intermediates drop inside the
@@ -319,7 +299,9 @@ impl Dgcnn {
     /// Determinism: per-example passes within a chunk fan across
     /// `config.num_threads` rayon threads through the order-preserving
     /// pooled map, and the per-example gradients are reduced **in fixed
-    /// example order** before the Adam step — so the training trajectory is
+    /// example order** before the Adam step (the dense head's weight
+    /// gradients as one `Uᵀ·Δ` product per layer, whose kernel accumulates
+    /// in example order too) — so the training trajectory is
     /// bit-for-bit identical for every thread count, and (for a pure source)
     /// bit-for-bit identical to training on the materialized tensor set.
     ///
@@ -352,29 +334,34 @@ impl Dgcnn {
                 // Fan the independent per-example passes across the shared
                 // pooled map (order-preserving): each worker materializes
                 // its example's tensor, runs the pass, and recycles the
-                // tensor before returning — only the (loss, gradients) pair
-                // survives into the reduction, which stays serial and in
-                // example order.
-                let passes: Vec<(f64, Gradients)> =
-                    pooled_map(self.config.num_threads, batch, |&i| {
-                        let tensor = source.tensor(i);
-                        let pass = self.forward_backward(&tensor, source.label(i));
-                        if let SourceTensor::Owned(t) = tensor {
-                            rebuilds.incr();
-                            source.recycle(t);
-                        }
-                        pass
-                    });
-                let mut total = Gradients::zeros_like(self);
-                for (loss, grads) in &passes {
-                    epoch_loss += loss;
-                    total.add(grads);
+                // tensor before returning — only the loss, the conv
+                // gradients and the head factors survive into the
+                // reduction, which stays serial and in example order.
+                let passes: Vec<ExampleGrads> = pooled_map(self.config.num_threads, batch, |&i| {
+                    let tensor = source.tensor(i);
+                    let pass = self.forward_backward(&tensor, source.label(i));
+                    if let SourceTensor::Owned(t) = tensor {
+                        rebuilds.incr();
+                        source.recycle(t);
+                    }
+                    pass
+                });
+                let scale = 1.0 / batch.len() as f64;
+                let mut convs: Vec<ConvGrads> =
+                    self.convs.iter().map(ConvGrads::zeros_like).collect();
+                for pass in &passes {
+                    epoch_loss += pass.loss;
+                    for (total, g) in convs.iter_mut().zip(&pass.convs) {
+                        total.add(g);
+                    }
                 }
-                total.scale(1.0 / batch.len() as f64);
-                for (conv, g) in self.convs.iter_mut().zip(&total.convs) {
+                let mut head = self.head.batch_gradients(passes.iter().map(|p| &p.head));
+                for (conv, g) in self.convs.iter_mut().zip(&mut convs) {
+                    g.scale(scale);
                     conv.apply(g, &hp);
                 }
-                self.head.apply(&total.head, &hp);
+                head.scale(scale);
+                self.head.apply(&head, &hp);
             }
             last_epoch_loss = epoch_loss / source.len() as f64;
         }
@@ -382,7 +369,12 @@ impl Dgcnn {
     }
 
     /// Mean binary cross-entropy over a labelled set (no training).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graphs` and `labels` lengths differ.
     pub fn mean_loss(&self, graphs: &[SubgraphTensor], labels: &[f64]) -> f64 {
+        assert_eq!(graphs.len(), labels.len(), "one label per graph required");
         if graphs.is_empty() {
             return 0.0;
         }
@@ -411,8 +403,9 @@ impl Dgcnn {
         graph: &SubgraphTensor,
         label: f64,
     ) -> (Vec<ConvGrads>, DenseGrads, f64) {
-        let (loss, grads) = self.forward_backward(graph, label);
-        (grads.convs, grads.head, loss)
+        let pass = self.forward_backward(graph, label);
+        let head = self.head.batch_gradients([&pass.head]);
+        (pass.convs, head, pass.loss)
     }
 
     /// The loss of one example (for finite differences).

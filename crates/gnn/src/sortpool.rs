@@ -112,9 +112,8 @@ impl SortPooling {
         let mut grad_input = Matrix::zeros(cache.input_rows, grad_output.cols());
         for (slot, sel) in cache.selected.iter().enumerate() {
             if let Some(src) = sel {
-                let g = grad_output.row(slot).to_vec();
                 let dst = grad_input.row_mut(*src);
-                for (d, v) in dst.iter_mut().zip(g) {
+                for (d, v) in dst.iter_mut().zip(grad_output.row(slot)) {
                     *d += v;
                 }
             }

@@ -207,3 +207,13 @@ fn learns_to_separate_structurally_different_graphs() {
         "model should separate the classes, got {correct}/30"
     );
 }
+
+/// `mean_loss` refuses a label slice of the wrong length instead of
+/// silently averaging over the shorter one.
+#[test]
+#[should_panic(expected = "one label per graph required")]
+fn mean_loss_rejects_mismatched_labels() {
+    let model = small_model(6, 1);
+    let graphs = vec![random_graph(7, 6, 2), random_graph(8, 6, 3)];
+    model.mean_loss(&graphs, &[1.0]);
+}

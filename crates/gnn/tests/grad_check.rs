@@ -7,7 +7,9 @@
 //! actual training loss, so any future kernel rewrite that corrupts
 //! backpropagation fails `cargo test` loudly.
 
-use autolock_gnn::{Dgcnn, DgcnnConfig, SortPoolK, SortPooling, SubgraphTensor};
+use autolock_gnn::{
+    DenseStack, Dgcnn, DgcnnConfig, HeadFactors, SortPoolK, SortPooling, SubgraphTensor,
+};
 use autolock_mlcore::Matrix;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -300,4 +302,81 @@ fn sortpool_tie_breaking_is_by_node_index_and_routes_gradients() {
     let x = Matrix::from_vec(4, 1, vec![9.0, 5.0, 5.0, 5.0]);
     let (_, cache) = SortPooling::new(2).forward(&x);
     assert_eq!(cache.selected, vec![Some(0), Some(1)]);
+}
+
+/// The head's batched weight gradient (one `Uᵀ·Δ` product per layer) is
+/// bit-for-bit the example-order sum of per-example materialized outer
+/// products, and its bias gradient the example-order sum of per-example
+/// bias gradients. The inputs come from SortPooling over graphs smaller
+/// than `k`, so zero-padded rows meet negative deltas, and the hidden ReLU
+/// layer has dead units whose zero deltas meet negative inputs: both give
+/// `-0.0` products, which the batched sum must absorb exactly as the
+/// per-example `0.0 + (-0.0)` does.
+#[test]
+fn batched_head_gradient_matches_example_order_sum_bitwise() {
+    let (k, channels) = (6, 3);
+    let pool = SortPooling::new(k);
+    let mut rng = ChaCha8Rng::seed_from_u64(21);
+    let head = DenseStack::new(k * channels, &[8], &mut rng);
+    let (mut padded_zero_products, mut dead_unit_zero_products) = (0, 0);
+    for batch_size in [1, 5, 16] {
+        let factors: Vec<HeadFactors> = (0..batch_size)
+            .map(|e| {
+                let x = Matrix::random(2 + e % 7, channels, 1.0, &mut rng);
+                let (pooled, _) = pool.forward(&x);
+                let cache = head.forward(pooled.data());
+                head.backward(cache, rng.gen_range(-1.0..1.0)).0
+            })
+            .collect();
+        let batched = head.batch_gradients(&factors);
+        for layer in 0..head.num_layers() {
+            let (rows, cols) = head.layer_shape(layer);
+            let mut weights = Matrix::zeros(rows, cols);
+            let mut bias = vec![0.0; cols];
+            for f in &factors {
+                let (u, d) = (&f.inputs()[layer], &f.deltas()[layer]);
+                let mut example_weights = Matrix::zeros(rows, cols);
+                example_weights.add_outer(1.0, u, d);
+                weights.add_scaled(1.0, &example_weights);
+                let mut example_bias = vec![0.0; cols];
+                for (b, v) in example_bias.iter_mut().zip(d) {
+                    *b += v;
+                }
+                for (b, v) in bias.iter_mut().zip(&example_bias) {
+                    *b += v;
+                }
+                for &ui in u {
+                    for &dj in d {
+                        if (ui * dj).to_bits() == (-0.0f64).to_bits() {
+                            padded_zero_products += usize::from(ui == 0.0);
+                            dead_unit_zero_products += usize::from(dj == 0.0);
+                        }
+                    }
+                }
+            }
+            let got = &batched.layer_weights()[layer];
+            for (i, (g, r)) in got.data().iter().zip(weights.data()).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    r.to_bits(),
+                    "batch {batch_size}, layer {layer}, weight {i}: {g} vs {r}"
+                );
+            }
+            for (i, (g, r)) in batched.layer_biases()[layer].iter().zip(&bias).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    r.to_bits(),
+                    "batch {batch_size}, layer {layer}, bias {i}: {g} vs {r}"
+                );
+            }
+        }
+    }
+    assert!(
+        padded_zero_products > 0,
+        "no padded row met a negative delta"
+    );
+    assert!(
+        dead_unit_zero_products > 0,
+        "no dead ReLU unit met a negative input"
+    );
 }

@@ -96,14 +96,41 @@ impl Matrix {
 
     /// Matrix-vector product `self * x`.
     ///
+    /// Rows are computed four at a time with four independent accumulators,
+    /// so four add chains are in flight instead of one. Each row's own chain
+    /// still runs `((0 + a₀x₀) + a₁x₁) + …` in increasing column order, so
+    /// every output is bit-for-bit the serial per-row dot product.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "dimension mismatch");
         let mut out = vec![0.0; self.rows];
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = self.row(r);
+        // `chunks_exact` needs a nonzero width; an empty row sums to 0.0.
+        if self.cols == 0 {
+            return out;
+        }
+        let mut blocks = self.data.chunks_exact(4 * self.cols);
+        let mut outs = out.chunks_exact_mut(4);
+        for (block, o) in (&mut blocks).zip(&mut outs) {
+            let (r0, rest) = block.split_at(self.cols);
+            let (r1, rest) = rest.split_at(self.cols);
+            let (r2, r3) = rest.split_at(self.cols);
+            let mut acc = [0.0; 4];
+            for ((((a0, a1), a2), a3), b) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
+                acc[0] += a0 * b;
+                acc[1] += a1 * b;
+                acc[2] += a2 * b;
+                acc[3] += a3 * b;
+            }
+            o.copy_from_slice(&acc);
+        }
+        for (row, o) in blocks
+            .remainder()
+            .chunks_exact(self.cols)
+            .zip(outs.into_remainder())
+        {
             let mut acc = 0.0;
             for (a, b) in row.iter().zip(x) {
                 acc += a * b;

@@ -7,7 +7,7 @@
 
 use autolock_mlcore::{kernels, Matrix};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -112,4 +112,62 @@ fn zero_heavy_operands_stay_bitwise_equal() {
     assert_bits_eq(&a.matmul_tn(&b_tn), &a.matmul_tn_naive(&b_tn));
     let b_nt = Matrix::random(21, 17, 1.0, &mut rng);
     assert_bits_eq(&a.matmul_nt(&b_nt), &a.matmul_nt_naive(&b_nt));
+}
+
+/// A matrix whose entries mix ordinary values with the IEEE edge cases a
+/// reordered or skipped accumulation would expose: `+0.0`, `-0.0` and
+/// subnormals of both signs.
+fn edge_case_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let specials = [0.0, -0.0, f64::MIN_POSITIVE / 4.0, -f64::MIN_POSITIVE / 3.0];
+    let data = (0..rows * cols)
+        .map(|_| match rng.gen_range(0..8usize) {
+            i @ 0..=3 => specials[i],
+            _ => rng.gen_range(-1.0..1.0),
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The row-interleaved `matvec` vs a serial per-row dot product, over
+    /// every row count mod 4 (so both the 4-row blocks and the remainder
+    /// rows are covered) and inputs riddled with signed zeros and
+    /// subnormals.
+    fn matvec_matches_serial_row_dots_bitwise(
+        rows in 0usize..10,
+        cols in 0usize..41,
+        seed in proptest::any::<u64>(),
+    ) {
+        let a = edge_case_matrix(rows, cols, seed);
+        let x = edge_case_matrix(1, cols, seed ^ 0x2545_f491_4f6c_dd1d);
+        let got = a.matvec(x.row(0));
+        prop_assert_eq!(got.len(), rows);
+        for (r, g) in got.iter().enumerate() {
+            let mut reference = 0.0;
+            for (a, b) in a.row(r).iter().zip(x.row(0)) {
+                reference += a * b;
+            }
+            prop_assert_eq!(g.to_bits(), reference.to_bits(), "row {}", r);
+        }
+    }
+}
+
+/// Every row's chain starts from `+0.0`, in the 4-row blocks and the
+/// remainder rows alike: a row of `-0.0` against a positive vector sums
+/// `-0.0` products only, and `0.0 + (-0.0)` must leave `+0.0`.
+#[test]
+fn matvec_rows_of_negative_zeros_sum_to_positive_zero() {
+    for rows in 0..10 {
+        for cols in 1..6 {
+            let a = Matrix::from_vec(rows, cols, vec![-0.0; rows * cols]);
+            let got = a.matvec(&vec![1.0; cols]);
+            assert!(
+                got.iter().all(|v| v.to_bits() == 0.0f64.to_bits()),
+                "{rows}x{cols}: {got:?}"
+            );
+        }
+    }
 }
