@@ -1,17 +1,12 @@
 //! The end-to-end AutoLock pipeline.
 
 use crate::config::AutoLockConfig;
-use crate::fitness::MuxLinkFitness;
-use crate::genotype::LockingGenotype;
-use crate::operators::{LocusCrossover, LocusMutation};
-use crate::report::{AutoLockError, AutoLockResult, GenerationRecord};
+use crate::evolution::{EvolutionJob, EvolutionOutcome};
+use crate::report::{AutoLockResult, GenerationRecord};
 use crate::Result;
-use autolock_evo::{GaConfig, GeneticAlgorithm, IslandGa, SurrogateScreen};
+use autolock_evo::run_to_completion;
 use autolock_locking::{apply_loci, LockedNetlist};
 use autolock_netlist::Netlist;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The AutoLock engine: wires the genotype, the evolutionary operators, the
@@ -37,8 +32,9 @@ impl AutoLock {
     ///
     /// # Errors
     ///
-    /// * [`AutoLockError::InvalidConfig`] for inconsistent configurations,
-    /// * [`AutoLockError::Lock`] if the netlist cannot host the requested key
+    /// * [`crate::AutoLockError::InvalidConfig`] for inconsistent configurations
+    ///   (see [`EvolutionJob::new`]),
+    /// * [`crate::AutoLockError::Lock`] if the netlist cannot host the requested key
     ///   length.
     pub fn run(&self, original: &Netlist) -> Result<AutoLockResult> {
         let start = Instant::now();
@@ -46,112 +42,16 @@ impl AutoLock {
         // in-loop attacks' stage spans nest under it in the trace.
         let _span = autolock_obs::span!("autolock.run");
         autolock_obs::counter("autolock.runs").incr();
-        let cfg = &self.config;
-        if cfg.population_size < 2 {
-            return Err(AutoLockError::InvalidConfig {
-                reason: "population size must be at least 2".into(),
-            });
-        }
-        if cfg.key_len == 0 {
-            return Err(AutoLockError::InvalidConfig {
-                reason: "key length must be at least 1".into(),
-            });
-        }
-        if cfg.elitism >= cfg.population_size {
-            return Err(AutoLockError::InvalidConfig {
-                reason: "elitism must be smaller than the population size".into(),
-            });
-        }
-        let use_islands = cfg.islands.islands > 1;
-        if use_islands && cfg.population_size < cfg.islands.islands * 2 {
-            return Err(AutoLockError::InvalidConfig {
-                reason: format!(
-                    "island runs need at least 2 individuals per island ({} < {})",
-                    cfg.population_size,
-                    cfg.islands.islands * 2
-                ),
-            });
-        }
 
-        let original = Arc::new(original.clone());
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-
-        // Step 1 (Fig. 1): lock the original netlist N times with random keys
-        // to obtain the initial population of encodings. `cfg.locking`
-        // selects the insertion policy — uniformly random pairs (the
-        // paper's setup) or locality-aware pairs for structured circuits.
-        let mut population: Vec<LockingGenotype> = Vec::with_capacity(cfg.population_size);
-        for _ in 0..cfg.population_size {
-            population.push(cfg.locking.select_loci(&original, cfg.key_len, &mut rng)?);
-        }
-
-        // Step 2: fitness = 1 - MuxLink accuracy. When the GA itself fans
-        // fitness evaluations across all cores, each in-loop attack must run
-        // serially — the thread-knob precedence rule documented on
-        // `MuxLinkConfig::threads` — or every worker would nest its own
-        // all-core pools. Thread count never changes attack outcomes, so
-        // this only affects wall clock.
-        let attack_config = if cfg.parallel || use_islands {
-            cfg.attack.clone().with_threads(1)
-        } else {
-            cfg.attack.clone()
-        };
-        let mut fitness = MuxLinkFitness::new(
-            original.clone(),
-            attack_config,
-            cfg.seed,
-            cfg.attack_repeats,
-        );
-        if let Some(t) = cfg.target_fitness {
-            fitness = fitness.with_target(t);
-        }
-        // Surrogate screening (island path only): the cheap attack shares
-        // the real fitness's cache, so a genotype the surrogate already
-        // scored is still re-scored by the real fitness on its first
-        // survival — different context keys keep the values apart.
-        let surrogate = cfg.surrogate.as_ref().filter(|_| use_islands).map(|sc| {
-            MuxLinkFitness::new(
-                original.clone(),
-                sc.clone().with_threads(1),
-                cfg.seed,
-                cfg.attack_repeats,
-            )
-            .with_cache(fitness.cache().clone())
-        });
-
-        // Step 3: evolutionary operators over the locus-list genotype.
-        let crossover = LocusCrossover::new(original.clone(), cfg.key_len, cfg.crossover_kind);
-        let mutation = LocusMutation::new(original.clone(), cfg.key_len, cfg.mutation_kind);
-
-        let ga = GeneticAlgorithm::new(GaConfig {
-            generations: cfg.generations,
-            crossover_rate: cfg.crossover_rate,
-            mutation_rate: cfg.mutation_rate,
-            elitism: cfg.elitism,
-            selection: cfg.selection,
-            // Under islands, the island fan-out is the parallelism level.
-            parallel: cfg.parallel && !use_islands,
-            target_fitness: cfg.target_fitness,
-            stagnation_limit: cfg.stagnation_limit,
-        });
-        let mut migrations = 0;
-        let ga_result = if use_islands {
-            let island_ga = IslandGa::new(ga, cfg.islands);
-            let screen = surrogate.as_ref().map(|s| SurrogateScreen {
-                surrogate: s,
-                survivor_fraction: cfg.surrogate_survivor_fraction,
-            });
-            let mut state =
-                island_ga.init_state(population, &fitness, screen.as_ref(), rng.clone());
-            while island_ga.step(&mut state, &fitness, &crossover, &mutation, screen.as_ref()) {}
-            migrations = state.migrations;
-            island_ga.finish(state)
-        } else {
-            ga.run(population, &fitness, &crossover, &mutation, &mut rng)
+        // Steps 1-3 (Fig. 1): seed, score and evolve.
+        let job = EvolutionJob::new(&self.config, original)?;
+        let EvolutionOutcome { result, migrations } = {
+            let _span = autolock_obs::span!("evo.run");
+            run_to_completion(&job, |_| {})
         };
 
         // Step 4: decode the fittest genotype back into a locked netlist.
-        let decoded = apply_loci(&original, &ga_result.best)?;
+        let decoded = apply_loci(original, &result.best)?;
         let locked = LockedNetlist::new(
             decoded.netlist().clone(),
             decoded.key().clone(),
@@ -160,7 +60,7 @@ impl AutoLock {
             original.name(),
         )?;
 
-        let history: Vec<GenerationRecord> = ga_result
+        let history: Vec<GenerationRecord> = result
             .history
             .iter()
             .map(|s| GenerationRecord {
@@ -175,14 +75,15 @@ impl AutoLock {
             .map(|h| h.mean_attack_accuracy)
             .unwrap_or(1.0);
 
+        let fitness = job.fitness();
         Ok(AutoLockResult {
             locked,
-            best_genotype: ga_result.best,
+            best_genotype: result.best,
             baseline_attack_accuracy,
-            final_attack_accuracy: 1.0 - ga_result.best_fitness,
+            final_attack_accuracy: 1.0 - result.best_fitness,
             history,
             fitness_evaluations: fitness.evaluations(),
-            best_generation: ga_result.best_generation,
+            best_generation: result.best_generation,
             runtime_ms: start.elapsed().as_millis(),
             migrations,
             fitness_cache_hits: fitness.cache().hits(),
@@ -194,8 +95,10 @@ impl AutoLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AutoLockError;
     use autolock_circuits::synth_circuit;
     use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn small_circuit() -> Netlist {
         synth_circuit("engine", 10, 4, 120, 55)
@@ -292,16 +195,22 @@ mod tests {
     fn island_run_rejects_undersized_populations() {
         use autolock_evo::IslandConfig;
         let nl = small_circuit();
-        let mut cfg = AutoLockConfig::tiny();
-        cfg.population_size = 5;
-        cfg.islands = IslandConfig {
-            islands: 3,
-            ..IslandConfig::default()
-        };
-        assert!(matches!(
-            AutoLock::new(cfg).run(&nl),
-            Err(AutoLockError::InvalidConfig { .. })
-        ));
+        // 5 members cannot give 3 islands 2 members each; 8 members over 4
+        // islands leave 2 per island, all of them elites under elitism 2,
+        // so no island could ever breed a child.
+        for (population_size, islands) in [(5, 3), (8, 4)] {
+            let mut cfg = AutoLockConfig::tiny();
+            cfg.population_size = population_size;
+            cfg.elitism = 2;
+            cfg.islands = IslandConfig {
+                islands,
+                ..IslandConfig::default()
+            };
+            assert!(matches!(
+                AutoLock::new(cfg).run(&nl),
+                Err(AutoLockError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]

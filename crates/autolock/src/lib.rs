@@ -42,6 +42,7 @@
 mod cache;
 mod config;
 mod engine;
+mod evolution;
 mod fitness;
 mod genotype;
 pub mod operators;
@@ -50,6 +51,7 @@ mod report;
 pub use cache::FitnessCache;
 pub use config::AutoLockConfig;
 pub use engine::AutoLock;
+pub use evolution::{EvolutionJob, EvolutionOutcome, EvolutionState};
 pub use fitness::{MultiObjectiveLockingFitness, MuxLinkFitness, ObjectiveKind};
 pub use genotype::{genotype_hash, is_valid, random_genotype, repair_genotype, LockingGenotype};
 pub use report::{AutoLockError, AutoLockResult, GenerationRecord};

@@ -2,7 +2,7 @@
 //!
 //! Each kernel times a *reduced but structurally identical* slice of the
 //! corresponding experiment so `cargo bench` stays in the minutes range; the
-//! full tables are produced by the `exp_e*` binaries (see `EXPERIMENTS.md`).
+//! full tables are produced by the `exp` binary (see this crate's README).
 
 use autolock::operators::{CrossoverKind, LocusCrossover, LocusMutation, MutationKind};
 use autolock::{

@@ -932,10 +932,11 @@ pub fn e13_gnn_structured_sweep(scale: Scale) -> ResultTable {
 /// `key len`, `islands`, `generations`, `migrations`, `key accuracy`,
 /// `cache hit rate`, `surrogate rejected`, `resume check`.
 pub fn e14_island_evolution(scale: Scale) -> ResultTable {
+    use autolock::EvolutionJob;
     use autolock_circuits::synth_circuit;
     use autolock_evo::Resumable;
     use autolock_netlist::write_bench;
-    use autolock_service::{EngineConfig, IslandEvolveJob, JobEngine, JobKind, JobSpec, JobStatus};
+    use autolock_service::{EngineConfig, JobEngine, JobKind, JobSpec, JobStatus};
 
     let mut table = ResultTable::new(
         "E14",
@@ -1015,15 +1016,16 @@ pub fn e14_island_evolution(scale: Scale) -> ResultTable {
     }
 
     // Kill/resume gate: seed a second engine with a genuine generation-1
-    // checkpoint (built through the same `Resumable` bundle the engine
-    // uses) and require a byte-identical row stream.
+    // checkpoint (built through the same `EvolutionJob` the engine runs)
+    // and require a byte-identical row stream.
     let resume_check = if scale == Scale::Quick {
         let resume_dir = crate::results_dir().join("e14-service-resume");
         let _ = std::fs::remove_dir_all(&resume_dir);
         let engine_b = JobEngine::new(EngineConfig::rooted(&resume_dir, experiment_threads()))
             .expect("E14 resume engine opens");
-        let bundle = IslandEvolveJob::from_spec(&spec, 1).expect("E14 spec bundles");
-        let job = bundle.resumable();
+        let config = spec.evolution_config().expect("E14 spec is an evolve job");
+        let netlist = spec.ingest().expect("E14 source parses").netlist;
+        let job = EvolutionJob::new(&config, &netlist).expect("E14 config is valid");
         let mut state = job.init_state();
         assert!(
             job.step(&mut state),

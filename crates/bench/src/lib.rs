@@ -1,10 +1,10 @@
 //! Shared experiment harness for the AutoLock reproduction.
 //!
-//! Every experiment binary (`exp_e1` … `exp_e9`) uses the helpers in this
-//! crate to build circuits, run schemes and attacks, and emit results both as
-//! human-readable tables (stdout) and machine-readable JSON (under
-//! `results/`). The mapping from experiment id to paper claim is documented in
-//! `EXPERIMENTS.md`.
+//! Every experiment (`e1` … `e15`, run by id through the `exp` binary) uses
+//! the helpers in this crate to build circuits, run schemes and attacks, and
+//! emit results both as human-readable tables (stdout) and machine-readable
+//! JSON (under `results/`). The mapping from experiment id to paper claim is
+//! documented in this crate's `README.md`.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

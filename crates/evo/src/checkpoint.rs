@@ -6,11 +6,11 @@
 //! serde-serializable in this workspace). Persist it after each
 //! [`GeneticAlgorithm::step`]; on restart, deserialize and keep stepping.
 //!
-//! **Determinism contract:** a run driven through `init_state` + `step` until
-//! completion produces exactly the same [`GaResult`] as
-//! [`GeneticAlgorithm::run`] with the same seed, and a state serialized after
-//! any generation and resumed in a fresh process continues bit-for-bit
-//! identically to the uninterrupted run. Both properties are pinned by tests.
+//! **Determinism contract:** [`GeneticAlgorithm::run`] is itself the
+//! `init_state` + `step` + `finish` loop, so a run driven step by step is the
+//! same run by construction. A state serialized after any generation and
+//! resumed in a fresh process continues bit-for-bit identically to the
+//! uninterrupted run (pinned by tests).
 
 use crate::{
     CrossoverOperator, FitnessFunction, GaResult, GenerationStats, GeneticAlgorithm, Genotype,
@@ -153,7 +153,7 @@ impl GeneticAlgorithm {
     ///
     /// The offspring-loop RNG draw order (select, select, crossover?, mutate?,
     /// mutate?) lives only here, so the plain and island/surrogate paths can
-    /// never drift apart; `step_loop_equals_run` pins the protocol.
+    /// never drift apart.
     pub(crate) fn step_with<G, C, M>(
         &self,
         state: &mut GaState<G>,
@@ -186,9 +186,7 @@ impl GeneticAlgorithm {
             .map(|&i| state.population[i].clone())
             .collect();
 
-        // Fill the rest with offspring. Draw order matches
-        // `GeneticAlgorithm::run` exactly — the equivalence is pinned by the
-        // `step_loop_equals_run` test.
+        // Fill the rest with offspring.
         let rng: &mut dyn RngCore = &mut state.rng;
         while next.len() < pop_size {
             let pa = config.selection.select(&state.scores, rng);
@@ -239,65 +237,27 @@ impl GeneticAlgorithm {
         state.generation = generation;
         true
     }
-}
 
-/// Converts a (finished or not) state into the plain [`GaResult`] summary.
-pub(crate) fn finish_state<G>(state: GaState<G>) -> GaResult<G> {
-    GaResult {
-        best: state.best,
-        best_fitness: state.best_fitness,
-        history: state.history,
-        evaluations: state.evaluations,
-        best_generation: state.best_generation,
-        reached_target: state.reached_target,
+    /// Converts a (finished or not) state into the plain [`GaResult`]
+    /// summary.
+    pub fn finish<G>(&self, state: GaState<G>) -> GaResult<G> {
+        GaResult {
+            best: state.best,
+            best_fitness: state.best_fitness,
+            history: state.history,
+            evaluations: state.evaluations,
+            best_generation: state.best_generation,
+            reached_target: state.reached_target,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{initial, BitFlip, OneMax, UniformCrossover};
     use crate::GaConfig;
     use rand::SeedableRng;
-
-    struct OneMax;
-    impl FitnessFunction<Vec<bool>> for OneMax {
-        fn evaluate(&self, g: &Vec<bool>) -> f64 {
-            g.iter().filter(|&&b| b).count() as f64
-        }
-    }
-    struct UniformCrossover;
-    impl CrossoverOperator<Vec<bool>> for UniformCrossover {
-        fn crossover(
-            &self,
-            a: &Vec<bool>,
-            b: &Vec<bool>,
-            rng: &mut dyn RngCore,
-        ) -> (Vec<bool>, Vec<bool>) {
-            let mut c = a.clone();
-            let mut d = b.clone();
-            for i in 0..a.len().min(b.len()) {
-                if rng.gen_bool(0.5) {
-                    c[i] = b[i];
-                    d[i] = a[i];
-                }
-            }
-            (c, d)
-        }
-    }
-    struct BitFlip;
-    impl MutationOperator<Vec<bool>> for BitFlip {
-        fn mutate(&self, g: &mut Vec<bool>, rng: &mut dyn RngCore) {
-            let i = rng.gen_range(0..g.len());
-            g[i] = !g[i];
-        }
-    }
-
-    fn initial(pop: usize, len: usize, seed: u64) -> Vec<Vec<bool>> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        (0..pop)
-            .map(|_| (0..len).map(|_| rng.gen_bool(0.2)).collect())
-            .collect()
-    }
 
     fn config() -> GaConfig {
         GaConfig {
@@ -305,14 +265,6 @@ mod tests {
             parallel: false,
             ..Default::default()
         }
-    }
-
-    /// Drives `init_state` + `step` to completion — the loop every consumer
-    /// (the `ResumableGa` wrapper, the island engine) builds on.
-    fn run_stepped(ga: &GeneticAlgorithm, pop: Vec<Vec<bool>>, seed: u64) -> GaResult<Vec<bool>> {
-        let mut state = ga.init_state(pop, &OneMax, ChaCha8Rng::seed_from_u64(seed));
-        while ga.step(&mut state, &OneMax, &UniformCrossover, &BitFlip) {}
-        finish_state(state)
     }
 
     #[test]
@@ -326,8 +278,10 @@ mod tests {
             &BitFlip,
             &mut run_rng,
         );
-        let stepped = run_stepped(&ga, initial(14, 24, 6), 5);
-        assert_eq!(expected, stepped);
+        let mut state = ga.init_state(initial(14, 24, 6), &OneMax, ChaCha8Rng::seed_from_u64(5));
+        while ga.step(&mut state, &OneMax, &UniformCrossover, &BitFlip) {}
+        assert_eq!(run_rng, state.rng, "run must hand back the advanced stream");
+        assert_eq!(expected, ga.finish(state));
     }
 
     #[test]
@@ -335,7 +289,13 @@ mod tests {
         let ga = GeneticAlgorithm::new(config());
 
         // Uninterrupted reference run.
-        let reference = run_stepped(&ga, initial(12, 20, 9), 10);
+        let reference = ga.run(
+            initial(12, 20, 9),
+            &OneMax,
+            &UniformCrossover,
+            &BitFlip,
+            &mut ChaCha8Rng::seed_from_u64(10),
+        );
 
         // Interrupted run: stop after 7 generations, serialize ("the process
         // is killed"), deserialize in a "fresh process", keep going.
@@ -348,7 +308,7 @@ mod tests {
 
         let mut resumed: GaState<Vec<bool>> = serde_json::from_str(&checkpoint).unwrap();
         while ga.step(&mut resumed, &OneMax, &UniformCrossover, &BitFlip) {}
-        assert_eq!(reference, finish_state(resumed));
+        assert_eq!(reference, ga.finish(resumed));
     }
 
     #[test]

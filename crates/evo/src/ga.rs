@@ -4,7 +4,7 @@ use crate::{
     CrossoverOperator, FitnessFunction, GenerationStats, Genotype, MutationOperator,
     SelectionMethod,
 };
-use rand::{Rng, RngCore};
+use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -100,7 +100,10 @@ impl GeneticAlgorithm {
         }
     }
 
-    /// Runs the GA from an initial population.
+    /// Runs the GA from an initial population: [`GeneticAlgorithm::init_state`],
+    /// [`GeneticAlgorithm::step`] until finished, [`GeneticAlgorithm::finish`].
+    /// The run draws from a copy of `rng` and writes the advanced stream
+    /// back, so the caller's RNG ends exactly where the run left it.
     ///
     /// # Panics
     ///
@@ -111,7 +114,7 @@ impl GeneticAlgorithm {
         fitness: &F,
         crossover: &C,
         mutation: &M,
-        rng: &mut dyn RngCore,
+        rng: &mut ChaCha8Rng,
     ) -> GaResult<G>
     where
         G: Genotype,
@@ -119,113 +122,11 @@ impl GeneticAlgorithm {
         C: CrossoverOperator<G>,
         M: MutationOperator<G>,
     {
-        assert!(
-            !initial_population.is_empty(),
-            "initial population must not be empty"
-        );
-        let pop_size = initial_population.len();
-        let target = self.config.target_fitness.or(fitness.target());
-
-        // Observability (autolock_obs) is write-only: per-generation spans
-        // and population gauges record the run without touching the RNG
-        // stream or any decision below.
         let _run_span = autolock_obs::span!("evo.run");
-        let eval_counter = autolock_obs::counter("evo.fitness_evals");
-        let gen_counter = autolock_obs::counter("evo.generations");
-        let best_gauge = autolock_obs::gauge("evo.best_fitness");
-        let mean_gauge = autolock_obs::gauge("evo.mean_fitness");
-
-        let mut population = initial_population;
-        let mut scores = self.evaluate_scores(&population, fitness);
-        eval_counter.add(population.len() as u64);
-        let mut evaluations = population.len();
-
-        let mut history = vec![GenerationStats::from_fitness(0, &scores)];
-        let (mut best_idx, mut best_fitness) = argmax(&scores);
-        let mut best = population[best_idx].clone();
-        let mut best_generation = 0usize;
-        let mut reached_target = target.map(|t| best_fitness >= t).unwrap_or(false);
-        let mut stagnant = 0usize;
-
-        for generation in 1..=self.config.generations {
-            if reached_target {
-                break;
-            }
-            if let Some(limit) = self.config.stagnation_limit {
-                if stagnant >= limit {
-                    break;
-                }
-            }
-            let _gen_span = autolock_obs::span!("evo.generation");
-            gen_counter.incr();
-
-            // Elites survive unchanged. NaN-safe ordering: a NaN fitness
-            // (failed evaluation) sorts last and can never enter the elite
-            // prefix, instead of panicking the engine.
-            let mut order: Vec<usize> = (0..population.len()).collect();
-            order.sort_by(|&a, &b| crate::order::desc_nan_last(scores[a], scores[b]));
-            let mut next: Vec<G> = order
-                .iter()
-                .take(self.config.elitism.min(pop_size))
-                .map(|&i| population[i].clone())
-                .collect();
-
-            // Fill the rest with offspring.
-            while next.len() < pop_size {
-                let pa = self.config.selection.select(&scores, rng);
-                let pb = self.config.selection.select(&scores, rng);
-                let (mut child_a, mut child_b) =
-                    if rng.gen_bool(self.config.crossover_rate.clamp(0.0, 1.0)) {
-                        crossover.crossover(&population[pa], &population[pb], rng)
-                    } else {
-                        (population[pa].clone(), population[pb].clone())
-                    };
-                if rng.gen_bool(self.config.mutation_rate.clamp(0.0, 1.0)) {
-                    mutation.mutate(&mut child_a, rng);
-                }
-                if rng.gen_bool(self.config.mutation_rate.clamp(0.0, 1.0)) {
-                    mutation.mutate(&mut child_b, rng);
-                }
-                next.push(child_a);
-                if next.len() < pop_size {
-                    next.push(child_b);
-                }
-            }
-
-            population = next;
-            scores = self.evaluate_scores(&population, fitness);
-            eval_counter.add(population.len() as u64);
-            evaluations += population.len();
-            history.push(GenerationStats::from_fitness(generation, &scores));
-            let stats = history.last().expect("just pushed");
-            best_gauge.set(stats.best);
-            mean_gauge.set(stats.mean);
-
-            let (gen_best_idx, gen_best_fitness) = argmax(&scores);
-            if gen_best_fitness > best_fitness {
-                best_fitness = gen_best_fitness;
-                best_idx = gen_best_idx;
-                best = population[best_idx].clone();
-                best_generation = generation;
-                stagnant = 0;
-            } else {
-                stagnant += 1;
-            }
-            if let Some(t) = target {
-                if best_fitness >= t {
-                    reached_target = true;
-                }
-            }
-        }
-
-        GaResult {
-            best,
-            best_fitness,
-            history,
-            evaluations,
-            best_generation,
-            reached_target,
-        }
+        let mut state = self.init_state(initial_population, fitness, rng.clone());
+        while self.step(&mut state, fitness, crossover, mutation) {}
+        *rng = state.rng.clone();
+        self.finish(state)
     }
 }
 
@@ -244,50 +145,8 @@ pub(crate) fn argmax(values: &[f64]) -> (usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{initial, BitFlip, OneMax, UniformCrossover};
     use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    struct OneMax;
-    impl FitnessFunction<Vec<bool>> for OneMax {
-        fn evaluate(&self, g: &Vec<bool>) -> f64 {
-            g.iter().filter(|&&b| b).count() as f64
-        }
-    }
-
-    struct UniformCrossover;
-    impl CrossoverOperator<Vec<bool>> for UniformCrossover {
-        fn crossover(
-            &self,
-            a: &Vec<bool>,
-            b: &Vec<bool>,
-            rng: &mut dyn RngCore,
-        ) -> (Vec<bool>, Vec<bool>) {
-            let mut c = a.clone();
-            let mut d = b.clone();
-            for i in 0..a.len().min(b.len()) {
-                if rng.gen_bool(0.5) {
-                    c[i] = b[i];
-                    d[i] = a[i];
-                }
-            }
-            (c, d)
-        }
-    }
-
-    struct BitFlip;
-    impl MutationOperator<Vec<bool>> for BitFlip {
-        fn mutate(&self, g: &mut Vec<bool>, rng: &mut dyn RngCore) {
-            let i = rng.gen_range(0..g.len());
-            g[i] = !g[i];
-        }
-    }
-
-    fn initial(pop: usize, len: usize, seed: u64) -> Vec<Vec<bool>> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        (0..pop)
-            .map(|_| (0..len).map(|_| rng.gen_bool(0.2)).collect())
-            .collect()
-    }
 
     #[test]
     fn ga_improves_onemax() {

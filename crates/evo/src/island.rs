@@ -24,11 +24,10 @@
 //!   ranking is the same stable NaN-safe sort, so when the surrogate *is*
 //!   the real fitness, screening changes nothing (exact-mode test).
 
-use crate::checkpoint::finish_state;
 use crate::resume::validate_ga_state;
 use crate::{
     CrossoverOperator, FitnessFunction, GaResult, GaState, GenerationStats, GeneticAlgorithm,
-    Genotype, MutationOperator, Resumable,
+    Genotype, MutationOperator,
 };
 use autolock_mlcore::parallel::pooled_map;
 use rand::{RngCore, SeedableRng};
@@ -234,11 +233,29 @@ impl IslandGa {
             .into_iter()
             .nth(best_island)
             .expect("index in range");
-        let mut result = finish_state(winner);
+        let mut result = self.ga.finish(winner);
         result.history = history;
         result.evaluations = evaluations;
         result.reached_target = reached_target;
         result
+    }
+
+    /// Structural sanity checks for a restored state: one island per
+    /// configured island, each a consistent [`GaState`] (see
+    /// [`validate_ga_state`]).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first inconsistency found.
+    pub fn validate_state<G>(&self, state: &IslandGaState<G>) -> Result<(), String> {
+        let expected = self.config.islands.max(1);
+        if state.islands.len() != expected {
+            return Err(format!(
+                "checkpoint has {} islands but the job is configured for {expected}",
+                state.islands.len()
+            ));
+        }
+        state.islands.iter().try_for_each(validate_ga_state)
     }
 
     /// Runs init + step to completion in one call.
@@ -422,110 +439,6 @@ fn merged_history<G>(islands: &[GaState<G>]) -> Vec<GenerationStats> {
             }
         })
         .collect()
-}
-
-/// The [`Resumable`] form of an island-model run: an [`IslandGa`] bundled
-/// with its initial population, fitnesses, operators and seed RNG. The
-/// service engine persists its checkpoints under `<job>.iga.json`.
-pub struct ResumableIslandGa<'a, G, F, C, M> {
-    island_ga: &'a IslandGa,
-    initial_population: Vec<G>,
-    fitness: &'a F,
-    crossover: &'a C,
-    mutation: &'a M,
-    screen: Option<SurrogateScreen<'a, G>>,
-    rng: ChaCha8Rng,
-}
-
-impl<'a, G, F, C, M> ResumableIslandGa<'a, G, F, C, M>
-where
-    G: Genotype,
-    F: FitnessFunction<G>,
-    C: CrossoverOperator<G>,
-    M: MutationOperator<G>,
-{
-    /// Bundles an island run. `rng` must be positioned exactly where the
-    /// caller wants island seeding to start drawing.
-    pub fn new(
-        island_ga: &'a IslandGa,
-        initial_population: Vec<G>,
-        fitness: &'a F,
-        crossover: &'a C,
-        mutation: &'a M,
-        screen: Option<SurrogateScreen<'a, G>>,
-        rng: ChaCha8Rng,
-    ) -> Self {
-        Self {
-            island_ga,
-            initial_population,
-            fitness,
-            crossover,
-            mutation,
-            screen,
-            rng,
-        }
-    }
-}
-
-impl<G, F, C, M> Resumable for ResumableIslandGa<'_, G, F, C, M>
-where
-    G: Genotype,
-    F: FitnessFunction<G>,
-    C: CrossoverOperator<G>,
-    M: MutationOperator<G>,
-    IslandGaState<G>: Serialize + Deserialize,
-{
-    type State = IslandGaState<G>;
-    type Checkpoint = IslandGaState<G>;
-    type Output = GaResult<G>;
-
-    fn init_state(&self) -> IslandGaState<G> {
-        self.island_ga.init_state(
-            self.initial_population.clone(),
-            self.fitness,
-            self.screen.as_ref(),
-            self.rng.clone(),
-        )
-    }
-
-    fn step(&self, state: &mut IslandGaState<G>) -> bool {
-        self.island_ga.step(
-            state,
-            self.fitness,
-            self.crossover,
-            self.mutation,
-            self.screen.as_ref(),
-        )
-    }
-
-    fn is_finished(&self, state: &IslandGaState<G>) -> bool {
-        self.island_ga.is_finished(state)
-    }
-
-    fn finish(&self, state: IslandGaState<G>) -> GaResult<G> {
-        self.island_ga.finish(state)
-    }
-
-    fn checkpoint(&self, state: &IslandGaState<G>) -> IslandGaState<G> {
-        state.clone()
-    }
-
-    fn restore(&self, checkpoint: IslandGaState<G>) -> Result<IslandGaState<G>, String> {
-        if checkpoint.islands.is_empty() {
-            return Err("checkpoint has no islands".into());
-        }
-        if checkpoint.islands.len() != self.island_ga.config().islands.max(1) {
-            return Err(format!(
-                "checkpoint has {} islands but the job is configured for {}",
-                checkpoint.islands.len(),
-                self.island_ga.config().islands.max(1)
-            ));
-        }
-        for isl in &checkpoint.islands {
-            validate_ga_state(isl)?;
-        }
-        Ok(checkpoint)
-    }
 }
 
 #[cfg(test)]

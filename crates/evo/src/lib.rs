@@ -69,13 +69,15 @@ pub mod order;
 mod resume;
 mod selection;
 mod stats;
+#[cfg(test)]
+mod testkit;
 mod traits;
 
 pub use checkpoint::GaState;
 pub use ga::{GaConfig, GaResult, GeneticAlgorithm};
-pub use island::{IslandConfig, IslandGa, IslandGaState, ResumableIslandGa, SurrogateScreen};
+pub use island::{IslandConfig, IslandGa, IslandGaState, SurrogateScreen};
 pub use nsga2::{MultiObjectiveFitness, Nsga2, Nsga2Config, Nsga2Result, ParetoPoint};
-pub use resume::{run_to_completion, Resumable, ResumableGa};
+pub use resume::{run_to_completion, validate_ga_state, Resumable};
 pub use selection::SelectionMethod;
 pub use stats::GenerationStats;
 pub use traits::{CrossoverOperator, FitnessFunction, Genotype, MutationOperator};

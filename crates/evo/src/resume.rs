@@ -1,11 +1,10 @@
 //! The unified resumable-computation API.
 //!
-//! PR 7/8 grew two parallel checkpointing surfaces — the SAT attack's
-//! `init_state / step / checkpoint / restore` methods and the free-function
-//! `GaState` API in [`crate::checkpoint`]. [`Resumable`] is the one shape
-//! both now implement, so a driver (the service engine, a bench experiment,
-//! a test harness) can persist and resume *any* long computation without
-//! knowing what it computes:
+//! [`Resumable`] is the one shape every long computation implements — the
+//! SAT attack and the AutoLock evolution job (single-population or island
+//! GA) — so a driver (the service engine, a bench experiment, a test
+//! harness) can persist and resume any of them without knowing what it
+//! computes:
 //!
 //! 1. [`Resumable::init_state`] builds the in-memory working state.
 //! 2. [`Resumable::step`] advances it by one bounded unit of work (a GA
@@ -16,12 +15,7 @@
 //!    one (each implementation pins this with tests).
 //! 4. [`Resumable::finish`] consumes the final state into the output.
 
-use crate::checkpoint::finish_state;
-use crate::{
-    CrossoverOperator, FitnessFunction, GaResult, GaState, GeneticAlgorithm, Genotype,
-    MutationOperator,
-};
-use rand_chacha::ChaCha8Rng;
+use crate::GaState;
 use serde::{Deserialize, Serialize};
 
 /// A long computation that can be advanced in bounded steps, snapshotted
@@ -84,96 +78,17 @@ pub fn run_to_completion<R: Resumable>(
     job.finish(state)
 }
 
-/// The [`Resumable`] form of a single-population GA run: a
-/// [`GeneticAlgorithm`] bundled with its initial population, fitness,
-/// operators and seed RNG. Replaced the old free-function checkpoint API
-/// (`run_checkpointed` / `finish`, removed) with the same bit-for-bit
-/// behaviour.
-pub struct ResumableGa<'a, G, F, C, M> {
-    ga: &'a GeneticAlgorithm,
-    initial_population: Vec<G>,
-    fitness: &'a F,
-    crossover: &'a C,
-    mutation: &'a M,
-    rng: ChaCha8Rng,
-}
-
-impl<'a, G, F, C, M> ResumableGa<'a, G, F, C, M>
-where
-    G: Genotype,
-    F: FitnessFunction<G>,
-    C: CrossoverOperator<G>,
-    M: MutationOperator<G>,
-{
-    /// Bundles a GA run. `rng` must be positioned exactly where the caller
-    /// wants generation 0 to start drawing (e.g. after population seeding).
-    pub fn new(
-        ga: &'a GeneticAlgorithm,
-        initial_population: Vec<G>,
-        fitness: &'a F,
-        crossover: &'a C,
-        mutation: &'a M,
-        rng: ChaCha8Rng,
-    ) -> Self {
-        Self {
-            ga,
-            initial_population,
-            fitness,
-            crossover,
-            mutation,
-            rng,
-        }
-    }
-}
-
-impl<G, F, C, M> Resumable for ResumableGa<'_, G, F, C, M>
-where
-    G: Genotype,
-    F: FitnessFunction<G>,
-    C: CrossoverOperator<G>,
-    M: MutationOperator<G>,
-    GaState<G>: Serialize + Deserialize,
-{
-    type State = GaState<G>;
-    type Checkpoint = GaState<G>;
-    type Output = GaResult<G>;
-
-    fn init_state(&self) -> GaState<G> {
-        self.ga.init_state(
-            self.initial_population.clone(),
-            self.fitness,
-            self.rng.clone(),
-        )
-    }
-
-    fn step(&self, state: &mut GaState<G>) -> bool {
-        self.ga
-            .step(state, self.fitness, self.crossover, self.mutation)
-    }
-
-    fn is_finished(&self, state: &GaState<G>) -> bool {
-        self.ga.is_finished(state)
-    }
-
-    fn finish(&self, state: GaState<G>) -> GaResult<G> {
-        finish_state(state)
-    }
-
-    fn checkpoint(&self, state: &GaState<G>) -> GaState<G> {
-        state.clone()
-    }
-
-    fn restore(&self, checkpoint: GaState<G>) -> Result<GaState<G>, String> {
-        validate_ga_state(&checkpoint)?;
-        Ok(checkpoint)
-    }
-}
-
-/// Structural sanity checks shared by the plain and island GA `restore`
-/// paths. Rejecting inconsistent snapshots here turns a corrupted (but
-/// parseable) checkpoint into a fresh start instead of a panic deep in the
-/// selection code.
-pub(crate) fn validate_ga_state<G>(state: &GaState<G>) -> Result<(), String> {
+/// Structural sanity checks for a restored [`GaState`], shared by the plain
+/// and island GA `restore` paths. Rejecting inconsistent snapshots here turns
+/// a corrupted (but parseable) checkpoint into a fresh start instead of a
+/// panic deep in the selection code.
+///
+/// # Errors
+///
+/// Describes the first inconsistency: an empty population, scores that do
+/// not match the population, or a history that does not match the
+/// generation counter.
+pub fn validate_ga_state<G>(state: &GaState<G>) -> Result<(), String> {
     if state.population.is_empty() {
         return Err("checkpoint has an empty population".into());
     }
@@ -197,131 +112,33 @@ pub(crate) fn validate_ga_state<G>(state: &GaState<G>) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GaConfig;
-    use rand::{Rng, RngCore, SeedableRng};
-
-    struct OneMax;
-    impl FitnessFunction<Vec<bool>> for OneMax {
-        fn evaluate(&self, g: &Vec<bool>) -> f64 {
-            g.iter().filter(|&&b| b).count() as f64
-        }
-    }
-    struct BitFlip;
-    impl MutationOperator<Vec<bool>> for BitFlip {
-        fn mutate(&self, g: &mut Vec<bool>, rng: &mut dyn RngCore) {
-            let i = rng.gen_range(0..g.len());
-            g[i] = !g[i];
-        }
-    }
-    struct OnePoint;
-    impl CrossoverOperator<Vec<bool>> for OnePoint {
-        fn crossover(
-            &self,
-            a: &Vec<bool>,
-            b: &Vec<bool>,
-            rng: &mut dyn RngCore,
-        ) -> (Vec<bool>, Vec<bool>) {
-            let cut = rng.gen_range(0..a.len().min(b.len()));
-            let mut c = a.clone();
-            let mut d = b.clone();
-            c[cut..].copy_from_slice(&b[cut..]);
-            d[cut..].copy_from_slice(&a[cut..]);
-            (c, d)
-        }
-    }
-
-    fn initial(pop: usize, len: usize, seed: u64) -> Vec<Vec<bool>> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        (0..pop)
-            .map(|_| (0..len).map(|_| rng.gen_bool(0.3)).collect())
-            .collect()
-    }
-
-    fn ga() -> GeneticAlgorithm {
-        GeneticAlgorithm::new(GaConfig {
-            generations: 10,
-            parallel: false,
-            ..Default::default()
-        })
-    }
-
-    #[test]
-    fn trait_run_equals_plain_run() {
-        let ga = ga();
-        let mut run_rng = ChaCha8Rng::seed_from_u64(7);
-        let expected = ga.run(
-            initial(10, 16, 3),
-            &OneMax,
-            &OnePoint,
-            &BitFlip,
-            &mut run_rng,
-        );
-
-        let job = ResumableGa::new(
-            &ga,
-            initial(10, 16, 3),
-            &OneMax,
-            &OnePoint,
-            &BitFlip,
-            ChaCha8Rng::seed_from_u64(7),
-        );
-        let got = run_to_completion(&job, |_| {});
-        assert_eq!(expected, got);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_resumes_bit_identically() {
-        let ga = ga();
-        let job = ResumableGa::new(
-            &ga,
-            initial(8, 12, 5),
-            &OneMax,
-            &OnePoint,
-            &BitFlip,
-            ChaCha8Rng::seed_from_u64(9),
-        );
-        let reference = run_to_completion(&job, |_| {});
-
-        let mut state = job.init_state();
-        for _ in 0..3 {
-            assert!(job.step(&mut state));
-        }
-        let snapshot = serde_json::to_string(&job.checkpoint(&state)).unwrap();
-        drop(state);
-
-        let revived: GaState<Vec<bool>> = serde_json::from_str(&snapshot).unwrap();
-        let mut state = job.restore(revived).unwrap();
-        while job.step(&mut state) {}
-        assert!(job.is_finished(&state));
-        assert_eq!(reference, job.finish(state));
-    }
+    use crate::testkit::{initial, OneMax};
+    use crate::{GaConfig, GeneticAlgorithm};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn restore_rejects_inconsistent_snapshots() {
-        let ga = ga();
-        let job = ResumableGa::new(
-            &ga,
-            initial(6, 8, 1),
-            &OneMax,
-            &OnePoint,
-            &BitFlip,
-            ChaCha8Rng::seed_from_u64(2),
-        );
-        let good = job.init_state();
+        let ga = GeneticAlgorithm::new(GaConfig::default());
+        let good = ga.init_state(initial(6, 8, 1), &OneMax, ChaCha8Rng::seed_from_u64(2));
 
         let mut empty = good.clone();
         empty.population.clear();
         empty.scores.clear();
-        assert!(job.restore(empty).unwrap_err().contains("empty population"));
+        assert!(validate_ga_state(&empty)
+            .unwrap_err()
+            .contains("empty population"));
 
         let mut skewed = good.clone();
         skewed.scores.pop();
-        assert!(job.restore(skewed).unwrap_err().contains("length mismatch"));
+        assert!(validate_ga_state(&skewed)
+            .unwrap_err()
+            .contains("length mismatch"));
 
         let mut torn = good.clone();
         torn.generation = 5;
-        assert!(job.restore(torn).unwrap_err().contains("generation"));
+        assert!(validate_ga_state(&torn).unwrap_err().contains("generation"));
 
-        assert!(job.restore(good).is_ok());
+        assert!(validate_ga_state(&good).is_ok());
     }
 }

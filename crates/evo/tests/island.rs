@@ -4,9 +4,8 @@
 //! which folds `AUTOLOCK_THREADS` into the compared set.
 
 use autolock_evo::{
-    run_to_completion, CrossoverOperator, FitnessFunction, GaConfig, GaState, GeneticAlgorithm,
-    IslandConfig, IslandGa, IslandGaState, MutationOperator, Resumable, ResumableIslandGa,
-    SurrogateScreen,
+    CrossoverOperator, FitnessFunction, GaConfig, GaState, GeneticAlgorithm, IslandConfig,
+    IslandGa, IslandGaState, MutationOperator, SurrogateScreen,
 };
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -120,58 +119,59 @@ fn island_results_are_thread_count_invariant() {
 #[test]
 fn every_generation_boundary_resumes_bit_identically() {
     let engine = island_ga(1);
-    let job = ResumableIslandGa::new(
-        &engine,
+    let mut state = engine.init_state(
         initial(9, 12, 5),
         &OneMax,
-        &OnePoint,
-        &BitFlip,
         None,
         ChaCha8Rng::seed_from_u64(9),
     );
-    let mut snapshots: Vec<String> = Vec::new();
-    let reference = run_to_completion(&job, |state| {
-        snapshots.push(serde_json::to_string(&job.checkpoint(state)).unwrap());
-    });
+    let mut snapshots = vec![serde_json::to_string(&state).unwrap()];
+    while engine.step(&mut state, &OneMax, &OnePoint, &BitFlip, None) {
+        snapshots.push(serde_json::to_string(&state).unwrap());
+    }
+    let reference = engine.finish(state);
     assert!(
         snapshots.len() > 2,
         "expected several generation boundaries"
     );
 
     for (g, snapshot) in snapshots.iter().enumerate() {
-        let revived: IslandGaState<Vec<bool>> = serde_json::from_str(snapshot).unwrap();
-        let mut state = job.restore(revived).unwrap();
-        while job.step(&mut state) {}
-        assert!(job.is_finished(&state));
+        let mut state: IslandGaState<Vec<bool>> = serde_json::from_str(snapshot).unwrap();
+        engine.validate_state(&state).unwrap();
+        while engine.step(&mut state, &OneMax, &OnePoint, &BitFlip, None) {}
+        assert!(engine.is_finished(&state));
         assert_eq!(
             reference,
-            job.finish(state),
+            engine.finish(state),
             "resume from generation {g} diverged"
         );
     }
 }
 
-/// `restore` rejects snapshots that do not match the job's topology.
+/// Restore validation rejects snapshots that do not match the job's
+/// topology.
 #[test]
 fn restore_rejects_mismatched_island_counts() {
     let engine = island_ga(1);
-    let job = ResumableIslandGa::new(
-        &engine,
+    let good = engine.init_state(
         initial(9, 12, 5),
         &OneMax,
-        &OnePoint,
-        &BitFlip,
         None,
         ChaCha8Rng::seed_from_u64(9),
     );
-    let good = job.init_state();
     let mut wrong = good.clone();
     wrong.islands.pop();
-    assert!(job.restore(wrong).unwrap_err().contains("islands"));
+    assert!(engine
+        .validate_state(&wrong)
+        .unwrap_err()
+        .contains("islands"));
     let mut torn = good.clone();
     torn.islands[0].scores.pop();
-    assert!(job.restore(torn).unwrap_err().contains("mismatch"));
-    assert!(job.restore(good).is_ok());
+    assert!(engine
+        .validate_state(&torn)
+        .unwrap_err()
+        .contains("mismatch"));
+    assert!(engine.validate_state(&good).is_ok());
 }
 
 /// When the surrogate *is* the real fitness, screening must not change who

@@ -3,14 +3,14 @@
 use crate::fault::{FaultKind, FaultPlan};
 use crate::job::{JobKind, JobRow, JobSpec, JobStatus, LockSpec};
 use crate::registry::{ModelRegistry, RegistryLookup};
-use crate::resumable::{EvolveJob, IslandEvolveJob};
 use crate::store::{CheckpointStore, StoreRead};
+use autolock::{AutoLockError, EvolutionJob};
 use autolock_attacks::{
     netlist_fingerprint, MuxLinkAttack, MuxLinkConfig, ResumableSatAttack, SatAttack,
     SatAttackConfig,
 };
 use autolock_evo::Resumable;
-use autolock_netlist::ingest::{self, CircuitFormat, IngestOptions, SeqResolution};
+use autolock_netlist::ingest::{CircuitFormat, SeqResolution};
 use autolock_netlist::Netlist;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -303,11 +303,8 @@ impl JobEngine {
     }
 
     fn try_run(&self, spec: &JobSpec) -> Result<JobRow, JobError> {
-        let opts = IngestOptions {
-            sequential: spec.sequential,
-            ..IngestOptions::default()
-        };
-        let ingested = ingest::parse_auto(&spec.circuit, &spec.source, &opts)
+        let ingested = spec
+            .ingest()
             .map_err(|e| JobError::fatal(format!("parse: {e}")))?;
         autolock_obs::counter(match ingested.format {
             CircuitFormat::Bench => "service.ingest.bench",
@@ -339,12 +336,9 @@ impl JobEngine {
             JobKind::MuxLinkAttack { lock, attack } => {
                 self.run_muxlink(spec, &netlist, *lock, attack)
             }
-            JobKind::Evolve {
-                key_len,
-                population_size,
-                generations,
-            } => self.run_evolve(spec, netlist, *key_len, *population_size, *generations),
-            JobKind::EvolveIslands { .. } => self.run_evolve_islands(spec, netlist),
+            JobKind::Evolve { .. } | JobKind::EvolveIslands { .. } => {
+                self.run_evolve(spec, &netlist)
+            }
         }
     }
 
@@ -557,78 +551,49 @@ impl JobEngine {
         format!("{job_id}.iga.json")
     }
 
-    /// The path of a job's island-GA checkpoint.
-    pub fn island_checkpoint_path(&self, job_id: &str) -> PathBuf {
-        self.store.path(&Self::island_checkpoint_name(job_id))
-    }
-
-    /// Runs a classic single-population evolve job through the
-    /// [`Resumable`] protocol. The checkpoint (`{id}.ga.json`) embeds the
-    /// GA's RNG, so a resumed run is bit-identical to never having stopped;
-    /// a torn or corrupt checkpoint is quarantined and the GA restarts from
-    /// its seed — recomputation, not a panic, and the same final row.
-    fn run_evolve(
-        &self,
-        spec: &JobSpec,
-        netlist: Netlist,
-        key_len: usize,
-        population_size: usize,
-        generations: usize,
-    ) -> Result<JobRow, JobError> {
-        let job = EvolveJob::from_parts(netlist, spec.seed, key_len, population_size, generations)
-            .map_err(JobError::fatal)?;
-        let result = self.run_resumable(
-            &job.resumable(),
+    /// Runs an evolve job ([`JobKind::Evolve`] or [`JobKind::EvolveIslands`])
+    /// as an [`EvolutionJob`] through the [`Resumable`] protocol. The
+    /// checkpoint (`{id}.ga.json`, or `{id}.iga.json` for island jobs)
+    /// embeds the GA's RNG, so a resumed run is bit-identical to never
+    /// having stopped; a torn or corrupt checkpoint is quarantined and the
+    /// GA restarts from its seed — recomputation, not a panic, and the same
+    /// final row. The row's `key_accuracy` is the attack accuracy of the
+    /// best genotype (1 − fitness), `iterations` the number of generations
+    /// actually evolved.
+    fn run_evolve(&self, spec: &JobSpec, netlist: &Netlist) -> Result<JobRow, JobError> {
+        let config = spec.evolution_config().map_err(JobError::fatal)?;
+        let job = EvolutionJob::new(&config, netlist).map_err(|e| {
+            JobError::fatal(match e {
+                AutoLockError::Lock(e) => format!("lock: {e}"),
+                e => e.to_string(),
+            })
+        })?;
+        let name = match spec.kind {
+            JobKind::EvolveIslands { .. } => Self::island_checkpoint_name(&spec.id),
+            _ => Self::ga_checkpoint_name(&spec.id),
+        };
+        let outcome = self.run_resumable(
+            &job,
             &ResumeSite {
-                name: Self::ga_checkpoint_name(&spec.id),
+                name,
                 resume_counter: "service.evolve_resumes",
                 checkpoint_counter: "service.evolve_checkpoints",
             },
         )?;
-        Ok(self.evolve_row(spec, key_len, &result))
-    }
-
-    /// Runs an island-model evolve job ([`JobKind::EvolveIslands`]) through
-    /// the [`Resumable`] protocol, checkpointing under `{id}.iga.json`.
-    /// Islands run serially inside the job (the engine's worker pool is the
-    /// parallelism level, per the workspace thread-knob precedence rule);
-    /// results are thread-count invariant either way.
-    fn run_evolve_islands(&self, spec: &JobSpec, netlist: Netlist) -> Result<JobRow, JobError> {
-        let job = IslandEvolveJob::from_spec_netlist(spec, netlist, 1).map_err(JobError::fatal)?;
-        let key_len = spec.kind.key_len();
-        let result = self.run_resumable(
-            &job.resumable(),
-            &ResumeSite {
-                name: Self::island_checkpoint_name(&spec.id),
-                resume_counter: "service.evolve_resumes",
-                checkpoint_counter: "service.evolve_checkpoints",
-            },
-        )?;
-        Ok(self.evolve_row(spec, key_len, &result))
-    }
-
-    /// The row both evolve kinds produce: `key_accuracy` is the attack
-    /// accuracy of the best genotype (1 − fitness), `iterations` the number
-    /// of generations actually evolved.
-    fn evolve_row(
-        &self,
-        spec: &JobSpec,
-        key_len: usize,
-        result: &crate::resumable::EvolveResult,
-    ) -> JobRow {
-        JobRow {
+        let result = outcome.result;
+        Ok(JobRow {
             job_id: spec.id.clone(),
             circuit: spec.circuit.clone(),
             format: source_format(spec),
             attack: "evolve".to_string(),
             status: JobStatus::Ok,
-            key_len,
+            key_len: config.key_len,
             success: true,
             key_accuracy: Some(1.0 - result.best_fitness),
             iterations: result.history.len().saturating_sub(1) as u64,
             attempts: None,
             error: None,
-        }
+        })
     }
 }
 

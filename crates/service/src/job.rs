@@ -1,7 +1,10 @@
 //! Job descriptions ([`JobSpec`]) and result rows ([`JobRow`]).
 
+use autolock::AutoLockConfig;
+use autolock_attacks::MuxLinkConfig;
+use autolock_evo::IslandConfig;
 use autolock_locking::{DMuxLocking, LockedNetlist, LockingScheme, XorLocking};
-use autolock_netlist::ingest::{self, CircuitFormat, SequentialHandling};
+use autolock_netlist::ingest::{self, CircuitFormat, IngestOptions, Ingested, SequentialHandling};
 use autolock_netlist::Netlist;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -99,7 +102,7 @@ pub enum JobKind {
         population_size: usize,
         /// GA generation budget (synchronous across islands).
         generations: usize,
-        /// Number of islands (≥ 2 to actually migrate).
+        /// Number of islands (≥ 2).
         islands: usize,
         /// Generations between ring-migration rounds (≥ 1).
         migration_interval: usize,
@@ -157,6 +160,95 @@ pub struct JobSpec {
     pub sequential: SequentialHandling,
     /// What to do.
     pub kind: JobKind,
+}
+
+impl JobSpec {
+    /// Ingests the source through the format-detecting front door
+    /// ([`ingest::parse_auto`]), honouring the spec's sequential mode.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parser's error for a malformed source.
+    pub fn ingest(&self) -> autolock_netlist::Result<Ingested> {
+        let opts = IngestOptions {
+            sequential: self.sequential,
+            ..IngestOptions::default()
+        };
+        ingest::parse_auto(&self.circuit, &self.source, &opts)
+    }
+
+    /// The [`AutoLockConfig`] an evolve job runs, seeded from the spec.
+    ///
+    /// Both kinds keep the AutoLock defaults (tournament selection, one-point
+    /// crossover, composite mutation, D-MUX seeding) and run serially inside
+    /// the job: the engine's worker pool is the parallelism level. A classic
+    /// job keeps up to 2 elites and scores with the MLP-backend MuxLink
+    /// attack. An island job keeps 1 elite per island, so even two-member
+    /// islands keep breeding; with `surrogate` on, the DGCNN-backend attack
+    /// is the real fitness and the MLP-backend attack screens each
+    /// generation, both on one fitness cache.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the job is not an evolve job, or is an island
+    /// job with fewer than 2 islands. The rest of the validation is
+    /// [`autolock::EvolutionJob::new`]'s.
+    pub fn evolution_config(&self) -> Result<AutoLockConfig, String> {
+        let base = AutoLockConfig {
+            attack: MuxLinkConfig::fast().with_threads(1),
+            parallel: false,
+            seed: self.seed,
+            ..AutoLockConfig::default()
+        };
+        match self.kind {
+            JobKind::Evolve {
+                key_len,
+                population_size,
+                generations,
+            } => Ok(AutoLockConfig {
+                key_len,
+                population_size,
+                generations,
+                elitism: population_size.saturating_sub(1).min(2),
+                ..base
+            }),
+            JobKind::EvolveIslands {
+                key_len,
+                population_size,
+                generations,
+                islands,
+                migration_interval,
+                migrants,
+                surrogate,
+            } => {
+                if islands < 2 {
+                    return Err(format!(
+                        "invalid configuration: island jobs need at least 2 islands, got {islands}"
+                    ));
+                }
+                Ok(AutoLockConfig {
+                    key_len,
+                    population_size,
+                    generations,
+                    elitism: 1,
+                    islands: IslandConfig {
+                        islands,
+                        migration_interval,
+                        migrants,
+                        threads: 1,
+                    },
+                    attack: if surrogate {
+                        MuxLinkConfig::gnn_fast().with_threads(1)
+                    } else {
+                        base.attack.clone()
+                    },
+                    surrogate: surrogate.then(|| base.attack.clone()),
+                    ..base
+                })
+            }
+            _ => Err(format!("job {} is not an evolve job", self.id)),
+        }
+    }
 }
 
 /// Terminal status of a job.

@@ -60,7 +60,6 @@ mod engine;
 mod fault;
 mod job;
 mod registry;
-mod resumable;
 mod store;
 
 pub use engine::{EngineConfig, JobEngine};
@@ -69,5 +68,4 @@ pub use job::{
     jobs_from_dir, DirJobConfig, DirJobKinds, JobKind, JobRow, JobSpec, JobStatus, LockSpec,
 };
 pub use registry::{ModelRegistry, RegistryLookup};
-pub use resumable::{run_fresh, EvolveJob, EvolveResult, IslandEvolveJob};
 pub use store::{CheckpointStore, StoreRead};

@@ -1,6 +1,7 @@
 //! End-to-end contracts of the job engine: resume bit-identity, GA
 //! checkpoint reuse, registry hits, and directory serving.
 
+use autolock::EvolutionJob;
 use autolock_attacks::MuxLinkConfig;
 use autolock_circuits::{suite_circuit, synth_circuit};
 use autolock_netlist::write_bench;
@@ -235,15 +236,15 @@ fn island_evolution_resumes_from_generation_checkpoint_bit_identically() {
     assert_eq!(rows_fresh[0].attack, "evolve");
     assert_eq!(rows_fresh[0].iterations, 2);
 
-    // Reproduce what the engine persists mid-run: build the same job
-    // bundle, step it one generation, and park the checkpoint where the
-    // engine will look for it.
+    // Reproduce what the engine persists mid-run: build the same job, step
+    // it one generation, and park the checkpoint where the engine will look
+    // for it.
     let dir_resume = scratch("isl_resume");
     let engine_resume = JobEngine::new(EngineConfig::rooted(&dir_resume, 1)).unwrap();
     {
         let spec = island_evolve_job(2, 21);
-        let bundle = autolock_service::IslandEvolveJob::from_spec(&spec, 1).unwrap();
-        let job = bundle.resumable();
+        let config = spec.evolution_config().unwrap();
+        let job = EvolutionJob::new(&config, &spec.ingest().unwrap().netlist).unwrap();
         let mut state = job.init_state();
         assert!(job.step(&mut state));
         let ckpt = serde_json::to_string(&job.checkpoint(&state)).unwrap();
@@ -269,6 +270,65 @@ fn island_evolution_resumes_from_generation_checkpoint_bit_identically() {
 
     let _ = fs::remove_dir_all(&dir_fresh);
     let _ = fs::remove_dir_all(&dir_resume);
+}
+
+/// Evolve specs the AutoLock engine cannot run fail fast with a structured
+/// error row: no panic, no retry, no attempt count. Population 0 reaches the
+/// validation too (the elitism mapping must not underflow first), and an
+/// island job with fewer than 2 islands is rejected instead of silently
+/// running the classic GA.
+#[test]
+fn invalid_evolve_specs_yield_fatal_error_rows() {
+    let evolve = |population_size, key_len| JobKind::Evolve {
+        key_len,
+        population_size,
+        generations: 1,
+    };
+    let islands = |population_size, islands| JobKind::EvolveIslands {
+        key_len: 4,
+        population_size,
+        generations: 1,
+        islands,
+        migration_interval: 1,
+        migrants: 1,
+        surrogate: false,
+    };
+    let kinds = [
+        evolve(0, 4),
+        evolve(1, 4),
+        evolve(4, 0),
+        islands(3, 2),
+        islands(4, 1),
+        islands(4, 0),
+    ];
+    let jobs: Vec<JobSpec> = kinds
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| JobSpec {
+            id: format!("bad-{i}"),
+            circuit: "svc-evo".into(),
+            source: tiny_source(6),
+            seed: 5,
+            sequential: Default::default(),
+            kind,
+        })
+        .collect();
+
+    let dir = scratch("evolve_invalid");
+    let engine = JobEngine::new(EngineConfig::rooted(&dir, 1)).unwrap();
+    let rows = engine.run(&jobs).unwrap();
+    assert_eq!(rows.len(), jobs.len());
+    for row in &rows {
+        let error = row.error.as_deref().unwrap_or("");
+        assert_eq!(row.status, JobStatus::Error, "{}", row.job_id);
+        assert_eq!(row.attempts, None, "{}: retried ({error})", row.job_id);
+        assert!(
+            error.starts_with("invalid configuration"),
+            "{}: {error}",
+            row.job_id
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// `--evolve-islands`-style configs route evolve jobs through the island

@@ -106,6 +106,18 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Box<T> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        T::from_value(v).map(Box::new)
+    }
+}
+
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)

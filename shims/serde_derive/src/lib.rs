@@ -9,7 +9,9 @@
 //!   serialize, `Default::default()` on deserialize),
 //! * tuple/newtype structs and unit structs,
 //! * enums with unit, tuple and struct variants (externally tagged, like real
-//!   serde),
+//!   serde), and `#[serde(untagged)]` enums of newtype variants (serialized
+//!   as the payload alone; deserialized as the first variant that accepts
+//!   the data),
 //! * simple generic parameters (`struct GaResult<G> { ... }`), which get a
 //!   `G: serde::Serialize` / `G: serde::Deserialize` bound.
 
@@ -53,6 +55,7 @@ struct Item {
     name: String,
     generics: Vec<GenParam>,
     kind: ItemKind,
+    untagged: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -88,14 +91,14 @@ impl Cursor {
         self.pos >= self.tokens.len()
     }
 
-    /// Skips outer attributes; returns `true` if any of them was
-    /// `#[serde(skip)]`.
-    fn skip_attributes(&mut self) -> bool {
-        let mut has_skip = false;
+    /// Skips outer attributes; returns the words of every `#[serde(...)]`
+    /// among them (e.g. `skip`, `untagged`).
+    fn skip_attributes(&mut self) -> Vec<String> {
+        let mut words = Vec::new();
         loop {
             let is_pound = matches!(self.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#');
             if !is_pound {
-                return has_skip;
+                return words;
             }
             self.pos += 1;
             if let Some(TokenTree::Group(g)) = self.next() {
@@ -104,9 +107,7 @@ impl Cursor {
                     if id.to_string() == "serde" {
                         if let Some(TokenTree::Group(args)) = inner.next() {
                             let text = args.stream().to_string();
-                            if text.split(',').any(|part| part.trim() == "skip") {
-                                has_skip = true;
-                            }
+                            words.extend(text.split(',').map(|part| part.trim().to_string()));
                         }
                     }
                 }
@@ -229,7 +230,7 @@ fn parse_named_fields(group: TokenStream) -> Vec<Field> {
     let mut cur = Cursor::new(group);
     let mut fields = Vec::new();
     while !cur.at_end() {
-        let skip = cur.skip_attributes();
+        let skip = cur.skip_attributes().iter().any(|w| w == "skip");
         if cur.at_end() {
             break;
         }
@@ -304,7 +305,7 @@ fn parse_variants(group: TokenStream) -> Vec<Variant> {
 
 fn parse_item(input: TokenStream) -> Item {
     let mut cur = Cursor::new(input);
-    cur.skip_attributes();
+    let untagged = cur.skip_attributes().iter().any(|w| w == "untagged");
     cur.skip_visibility();
     let keyword = cur.expect_ident("struct/enum keyword");
     let name = cur.expect_ident("type name");
@@ -342,6 +343,7 @@ fn parse_item(input: TokenStream) -> Item {
         name,
         generics,
         kind,
+        untagged,
     }
 }
 
@@ -377,6 +379,18 @@ fn impl_header(item: &Item, trait_name: &str) -> String {
     )
 }
 
+/// The variant names of an untagged enum, which must all be newtypes.
+fn untagged_variants<'a>(item: &'a Item, variants: &'a [Variant]) -> impl Iterator<Item = &'a str> {
+    variants.iter().map(move |v| {
+        assert!(
+            matches!(v.fields, Fields::Tuple(1)),
+            "serde derive: untagged {} supports newtype variants only",
+            item.name
+        );
+        v.name.as_str()
+    })
+}
+
 fn gen_serialize(item: &Item) -> String {
     let body = match &item.kind {
         ItemKind::Struct(Fields::Named(fields)) => {
@@ -400,6 +414,12 @@ fn gen_serialize(item: &Item) -> String {
             ::std::format!("serde::Value::Seq(::std::vec![{}])", items.join(", "))
         }
         ItemKind::Struct(Fields::Unit) => "serde::Value::Null".to_string(),
+        ItemKind::Enum(variants) if item.untagged => {
+            let arms: String = untagged_variants(item, variants)
+                .map(|vn| ::std::format!("Self::{vn}(x0) => serde::Serialize::to_value(x0),\n"))
+                .collect();
+            ::std::format!("match self {{\n{arms}}}")
+        }
         ItemKind::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
@@ -505,6 +525,21 @@ fn gen_deserialize(item: &Item) -> String {
             )
         }
         ItemKind::Struct(Fields::Unit) => "::core::result::Result::Ok(Self)".to_string(),
+        ItemKind::Enum(variants) if item.untagged => {
+            let tries: String = untagged_variants(item, variants)
+                .map(|vn| {
+                    ::std::format!(
+                        "if let ::core::result::Result::Ok(x) = \
+                         serde::Deserialize::from_value(v).map(Self::{vn}) {{ \
+                         return ::core::result::Result::Ok(x); }}\n"
+                    )
+                })
+                .collect();
+            ::std::format!(
+                "{tries}::core::result::Result::Err(serde::DeError::custom(\
+                 \"data matches no variant of untagged {name}\"))"
+            )
+        }
         ItemKind::Enum(variants) => {
             let mut unit_arms = String::new();
             let mut tagged_arms = String::new();

@@ -451,4 +451,38 @@ mod tests {
         write_value(&v, None, 0, &mut out).unwrap();
         assert_eq!(parse_value(&out).unwrap(), v);
     }
+
+    #[test]
+    fn untagged_enums_serialize_as_their_payload() {
+        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+        struct Single {
+            population: Vec<u8>,
+        }
+        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+        struct Many {
+            islands: Vec<Single>,
+        }
+        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+        #[serde(untagged)]
+        enum Either {
+            Single(Single),
+            Many(Many),
+        }
+        let single = Either::Single(Single {
+            population: vec![1, 2],
+        });
+        let many = Either::Many(Many {
+            islands: vec![Single {
+                population: vec![3],
+            }],
+        });
+        for (value, text) in [
+            (single, r#"{"population":[1,2]}"#),
+            (many, r#"{"islands":[{"population":[3]}]}"#),
+        ] {
+            assert_eq!(to_string(&value).unwrap(), text);
+            assert_eq!(from_str::<Either>(text).unwrap(), value);
+        }
+        assert!(from_str::<Either>(r#"{"other":1}"#).is_err());
+    }
 }
