@@ -207,12 +207,19 @@ impl SatAttack {
     /// copies sharing primary inputs, free keys, at least one output
     /// different) and the empty key solver.
     ///
+    /// The locked netlist is validated here, once; every circuit copy the
+    /// run encodes afterwards (two now, three per DIP) relies on it.
+    ///
     /// # Panics
     ///
-    /// Panics if the oracle and the locked netlist have incompatible
-    /// interfaces (different numbers of primary inputs or outputs).
+    /// Panics if the locked netlist fails validation or if the oracle and
+    /// the locked netlist have incompatible interfaces (different numbers of
+    /// primary inputs or outputs).
     pub fn init_state(&self, locked: &LockedNetlist, oracle: &Netlist) -> SatAttackState {
         let netlist = locked.netlist();
+        netlist
+            .validate()
+            .expect("the SAT attack requires a valid locked netlist");
         assert_eq!(
             oracle.num_inputs(),
             netlist.num_inputs(),
@@ -230,8 +237,8 @@ impl SatAttack {
 
         // Miter solver: two copies (A, B) sharing primary inputs, free keys.
         let mut miter = Solver::new();
-        let enc_a = CircuitEncoder::encode(&mut miter, netlist);
-        let enc_b = CircuitEncoder::encode(&mut miter, netlist);
+        let enc_a = CircuitEncoder::encode_validated(&mut miter, netlist);
+        let enc_b = CircuitEncoder::encode_validated(&mut miter, netlist);
         for &pi in &pis {
             enc_a.assert_equal(&mut miter, pi, &enc_b, pi);
         }
@@ -305,14 +312,18 @@ impl SatAttack {
     ///
     /// Returns a description of the inconsistency when the checkpoint does
     /// not structurally match `locked` (wrong circuit, torn or corrupt
-    /// payload that still deserialized). The caller treats that as a corrupt
-    /// checkpoint: quarantine and restart from scratch, never panic.
+    /// payload that still deserialized), or when `locked` fails validation.
+    /// The caller treats that as a corrupt checkpoint: quarantine and
+    /// restart from scratch, never panic.
     pub fn restore(
         &self,
         locked: &LockedNetlist,
         checkpoint: SatAttackCheckpoint,
     ) -> Result<SatAttackState, String> {
         let netlist = locked.netlist();
+        netlist
+            .validate()
+            .map_err(|e| format!("invalid locked netlist: {e}"))?;
         let keys: Vec<GateId> = netlist.key_inputs();
         if checkpoint.key_vars.len() != keys.len() {
             return Err(format!(
@@ -357,7 +368,8 @@ impl SatAttack {
     /// (a full solve, or up to [`SatAttackConfig::checkpoint_conflicts`]
     /// conflicts of one), one DIP/oracle exchange, or one key-extraction
     /// slice. Returns `true` while more work remains — checkpoint between
-    /// calls, then keep stepping.
+    /// calls, then keep stepping. `locked` must be the netlist the state was
+    /// built or restored from, which validated it.
     pub fn step(
         &self,
         state: &mut SatAttackState,
@@ -526,9 +538,10 @@ impl SatAttack {
         self.finish(state, locked)
     }
 
-    /// Adds, to `solver`, a fresh copy of `netlist` whose primary inputs are
-    /// fixed to `dip`, whose outputs are fixed to `response`, and whose key
-    /// inputs are tied to the key variables of the existing encoder `enc`.
+    /// Adds, to `solver`, a fresh copy of the validated `netlist` whose
+    /// primary inputs are fixed to `dip`, whose outputs are fixed to
+    /// `response`, and whose key inputs are tied to the key variables of the
+    /// existing encoder `enc`.
     #[allow(clippy::too_many_arguments)]
     fn add_io_constraint(
         solver: &mut Solver,
@@ -540,7 +553,7 @@ impl SatAttack {
         dip: &[bool],
         response: &[bool],
     ) {
-        let copy = CircuitEncoder::encode(solver, netlist);
+        let copy = CircuitEncoder::encode_validated(solver, netlist);
         for (&pi, &value) in pis.iter().zip(dip) {
             copy.assert_value(solver, pi, value);
         }
@@ -565,7 +578,7 @@ impl SatAttack {
         dip: &[bool],
         response: &[bool],
     ) {
-        let copy = CircuitEncoder::encode(solver, netlist);
+        let copy = CircuitEncoder::encode_validated(solver, netlist);
         for (&pi, &value) in pis.iter().zip(dip) {
             copy.assert_value(solver, pi, value);
         }

@@ -10,24 +10,16 @@ use std::collections::VecDeque;
 /// Returns [`NetlistError::CombinationalCycle`] if the netlist has a cycle.
 pub fn topological_order(nl: &Netlist) -> Result<Vec<GateId>> {
     let n = nl.len();
-    let mut indeg = vec![0usize; n];
-    for (_, gate) in nl.iter() {
-        // count unique? fanin may repeat; count every edge.
-        let _ = gate;
-    }
-    for (id, gate) in nl.iter() {
-        indeg[id.index()] = gate.fanin.len();
-    }
+    // Every fan-in edge counts, repeats included: `fanouts` lists a gate
+    // once per occurrence in its successor's fan-in, so each occurrence is
+    // retired exactly once below.
+    let mut indeg: Vec<usize> = nl.iter().map(|(_, gate)| gate.fanin.len()).collect();
     let fanouts = nl.fanouts();
     let mut queue: VecDeque<GateId> = nl.ids().filter(|id| indeg[id.index()] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(id) = queue.pop_front() {
         order.push(id);
         for &s in &fanouts[id.index()] {
-            // each occurrence of `id` in s.fanin contributes one to indeg of s
-            let cnt = nl.gate(s).fanin.iter().filter(|&&f| f == id).count();
-            // fanouts list contains s once per edge already? No: fanouts pushes once per fanin occurrence.
-            let _ = cnt;
             indeg[s.index()] -= 1;
             if indeg[s.index()] == 0 {
                 queue.push_back(s);

@@ -8,7 +8,6 @@
 
 use crate::{Lit, Solver, Var};
 use autolock_netlist::{GateId, GateKind, Netlist};
-use std::collections::HashMap;
 
 /// Maps the gates of one netlist instance to solver variables.
 ///
@@ -19,7 +18,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct CircuitEncoder {
     vars: Vec<Var>,
-    by_name: HashMap<String, Var>,
 }
 
 impl CircuitEncoder {
@@ -32,16 +30,24 @@ impl CircuitEncoder {
     /// netlists).
     pub fn encode(solver: &mut Solver, netlist: &Netlist) -> Self {
         netlist.validate().expect("encode requires a valid netlist");
-        let mut vars = Vec::with_capacity(netlist.len());
-        let mut by_name = HashMap::with_capacity(netlist.len());
-        for (_, gate) in netlist.iter() {
-            let v = solver.new_var();
-            vars.push(v);
-            by_name.insert(gate.name.clone(), v);
-        }
-        let enc = CircuitEncoder { vars, by_name };
+        Self::encode_validated(solver, netlist)
+    }
+
+    /// [`CircuitEncoder::encode`] without the validation, for callers that
+    /// encode many copies of one netlist they have validated once (the SAT
+    /// attack adds three copies per DIP). The encoding is the same: same
+    /// variables, same clauses, same order.
+    ///
+    /// An invalid netlist may panic here or encode a cyclic relation.
+    pub fn encode_validated(solver: &mut Solver, netlist: &Netlist) -> Self {
+        let vars = (0..netlist.len()).map(|_| solver.new_var()).collect();
+        let enc = CircuitEncoder { vars };
+        // Per-gate scratch, reused so a gate costs no allocation.
+        let (mut fanin, mut clause) = (Vec::new(), Vec::new());
         for (id, gate) in netlist.iter() {
-            enc.encode_gate(solver, netlist, id, gate.kind);
+            fanin.clear();
+            fanin.extend(gate.fanin.iter().map(|&f| Lit::pos(enc.var(f))));
+            enc.encode_gate(solver, id, gate.kind, &fanin, &mut clause);
         }
         enc
     }
@@ -65,11 +71,7 @@ impl CircuitEncoder {
                 netlist.len()
             ));
         }
-        let mut by_name = HashMap::with_capacity(vars.len());
-        for ((_, gate), &v) in netlist.iter().zip(&vars) {
-            by_name.insert(gate.name.clone(), v);
-        }
-        Ok(CircuitEncoder { vars, by_name })
+        Ok(CircuitEncoder { vars })
     }
 
     /// The solver variable of a gate.
@@ -77,9 +79,10 @@ impl CircuitEncoder {
         self.vars[gate.index()]
     }
 
-    /// The solver variable of a signal by name, if present.
-    pub fn var_by_name(&self, name: &str) -> Option<Var> {
-        self.by_name.get(name).copied()
+    /// The solver variable of a signal by name in `netlist`, the netlist
+    /// this encoder encoded, if the name is present.
+    pub fn var_by_name(&self, netlist: &Netlist, name: &str) -> Option<Var> {
+        netlist.find(name).map(|id| self.var(id))
     }
 
     /// All variables, indexed by gate id.
@@ -112,14 +115,17 @@ impl CircuitEncoder {
         Lit::new(self.var(gate), value)
     }
 
-    fn encode_gate(&self, solver: &mut Solver, netlist: &Netlist, id: GateId, kind: GateKind) {
+    /// Adds the clauses of gate `id`, whose fan-in literals are `fanin`;
+    /// `clause` is scratch space for the wide clauses.
+    fn encode_gate(
+        &self,
+        solver: &mut Solver,
+        id: GateId,
+        kind: GateKind,
+        fanin: &[Lit],
+        clause: &mut Vec<Lit>,
+    ) {
         let out = Lit::pos(self.var(id));
-        let fanin: Vec<Lit> = netlist
-            .gate(id)
-            .fanin
-            .iter()
-            .map(|&f| Lit::pos(self.var(f)))
-            .collect();
         match kind {
             GateKind::Input | GateKind::KeyInput => {
                 // Free variables: no clauses.
@@ -138,12 +144,12 @@ impl CircuitEncoder {
                 solver.add_clause(&[fanin[0], out]);
                 solver.add_clause(&[!fanin[0], !out]);
             }
-            GateKind::And => Self::encode_and(solver, out, &fanin, false),
-            GateKind::Nand => Self::encode_and(solver, out, &fanin, true),
-            GateKind::Or => Self::encode_or(solver, out, &fanin, false),
-            GateKind::Nor => Self::encode_or(solver, out, &fanin, true),
-            GateKind::Xor => Self::encode_xor(solver, out, &fanin, false),
-            GateKind::Xnor => Self::encode_xor(solver, out, &fanin, true),
+            GateKind::And => Self::encode_and(solver, out, fanin, false, clause),
+            GateKind::Nand => Self::encode_and(solver, out, fanin, true, clause),
+            GateKind::Or => Self::encode_or(solver, out, fanin, false, clause),
+            GateKind::Nor => Self::encode_or(solver, out, fanin, true, clause),
+            GateKind::Xor => Self::encode_xor(solver, out, fanin, false),
+            GateKind::Xnor => Self::encode_xor(solver, out, fanin, true),
             GateKind::Mux => {
                 let s = fanin[0];
                 let a = fanin[1]; // selected when s = 0
@@ -160,28 +166,42 @@ impl CircuitEncoder {
         }
     }
 
-    fn encode_and(solver: &mut Solver, out: Lit, fanin: &[Lit], invert: bool) {
+    fn encode_and(
+        solver: &mut Solver,
+        out: Lit,
+        fanin: &[Lit],
+        invert: bool,
+        clause: &mut Vec<Lit>,
+    ) {
         let y = if invert { !out } else { out };
         // y -> every input true: (!y | in_i)
         for &i in fanin {
             solver.add_clause(&[!y, i]);
         }
         // all inputs true -> y: (!in_1 | ... | !in_n | y)
-        let mut clause: Vec<Lit> = fanin.iter().map(|&i| !i).collect();
+        clause.clear();
+        clause.extend(fanin.iter().map(|&i| !i));
         clause.push(y);
-        solver.add_clause(&clause);
+        solver.add_clause(clause);
     }
 
-    fn encode_or(solver: &mut Solver, out: Lit, fanin: &[Lit], invert: bool) {
+    fn encode_or(
+        solver: &mut Solver,
+        out: Lit,
+        fanin: &[Lit],
+        invert: bool,
+        clause: &mut Vec<Lit>,
+    ) {
         let y = if invert { !out } else { out };
         // in_i -> y
         for &i in fanin {
             solver.add_clause(&[!i, y]);
         }
         // y -> some input: (in_1 | ... | in_n | !y)
-        let mut clause: Vec<Lit> = fanin.to_vec();
+        clause.clear();
+        clause.extend_from_slice(fanin);
         clause.push(!y);
-        solver.add_clause(&clause);
+        solver.add_clause(clause);
     }
 
     fn encode_xor(solver: &mut Solver, out: Lit, fanin: &[Lit], invert: bool) {
@@ -323,8 +343,8 @@ mod tests {
         assert_eq!(rebuilt.var(a), enc.var(a));
         assert_eq!(rebuilt.var(y), enc.var(y));
         assert_eq!(
-            rebuilt.var_by_name("keyinput0"),
-            enc.var_by_name("keyinput0")
+            rebuilt.var_by_name(&nl, "keyinput0"),
+            enc.var_by_name(&nl, "keyinput0")
         );
         // Wrong cardinality is rejected, not silently misaligned.
         assert!(CircuitEncoder::from_vars(&nl, enc.vars()[1..].to_vec()).is_err());
@@ -338,7 +358,7 @@ mod tests {
         nl.mark_output(y);
         let mut solver = Solver::new();
         let enc = CircuitEncoder::encode(&mut solver, &nl);
-        assert_eq!(enc.var_by_name("y"), Some(enc.var(y)));
-        assert_eq!(enc.var_by_name("zzz"), None);
+        assert_eq!(enc.var_by_name(&nl, "y"), Some(enc.var(y)));
+        assert_eq!(enc.var_by_name(&nl, "zzz"), None);
     }
 }

@@ -23,9 +23,15 @@
 //! [`Solver::from_snapshot`] rebuilds both, so the heap changed nothing in
 //! the serialized format and snapshots written before it still load and
 //! resume on the same search path.
+//!
+//! The clause database is serialized as `(literals, learnt)` pairs rather
+//! than as the solver's flat literal arena, and watch lists as `usize`
+//! clause indices where the solver keeps `u32`, so the format does not
+//! depend on how the solver stores clauses; snapshot and restore convert
+//! between the two.
 
 use crate::heap::VarHeap;
-use crate::solver::{Clause, Solver};
+use crate::solver::{ClauseHeader, Solver};
 use crate::{Lit, SolveBudget, SolverStats};
 use serde::{Deserialize, Serialize};
 
@@ -109,11 +115,17 @@ impl SolverSnapshot {
                 return Err(format!("reason refers to clause {r} of {nclauses}"));
             }
         }
-        for (lits, _) in &self.clauses {
+        for (ci, (lits, _)) in self.clauses.iter().enumerate() {
+            // Watched clauses need two watch positions; the solver never
+            // stores shorter ones.
+            if lits.len() < 2 {
+                return Err(format!("clause {ci} has {} literals", lits.len()));
+            }
             if let Some(l) = lits.iter().find(|l| l.var().index() >= nvars) {
                 return Err(format!("clause literal {l} exceeds {nvars} variables"));
             }
         }
+        arena_fits(self.clauses.iter().map(|(lits, _)| lits.len()).sum())?;
         for (name, values) in [("assigns", &self.assigns), ("model", &self.model)] {
             if let Some(x) = values.iter().find(|x| !(-1..=1).contains(*x)) {
                 return Err(format!("snapshot field {name} holds value {x}"));
@@ -155,6 +167,16 @@ impl SolverSnapshot {
     }
 }
 
+/// Clause headers address the arena with `u32` positions.
+fn arena_fits(literals: usize) -> Result<(), String> {
+    if u32::try_from(literals).is_err() {
+        return Err(format!(
+            "{literals} clause literals exceed the u32 arena positions"
+        ));
+    }
+    Ok(())
+}
+
 impl Solver {
     /// Captures the solver's complete search state. Valid at any point the
     /// caller holds the solver — between solve calls or while a solve is
@@ -164,9 +186,13 @@ impl Solver {
             clauses: self
                 .clauses
                 .iter()
-                .map(|c| (c.lits.clone(), c.learnt))
+                .map(|h| (self.arena[h.range()].to_vec(), h.learnt))
                 .collect(),
-            watches: self.watches.clone(),
+            watches: self
+                .watches
+                .iter()
+                .map(|ws| ws.iter().map(|&ci| ci as usize).collect())
+                .collect(),
             assigns: self.assigns.clone(),
             level: self.level.clone(),
             reason: self.reason.clone(),
@@ -206,13 +232,29 @@ impl Solver {
         let nvars = snapshot.num_vars();
         let unassigned = (0..nvars).filter(|&v| snapshot.assigns[v] == 0);
         let order = VarHeap::build(&snapshot.activity, unassigned);
+        let mut arena = Vec::with_capacity(snapshot.clauses.iter().map(|(l, _)| l.len()).sum());
+        let clauses = snapshot
+            .clauses
+            .iter()
+            .map(|(lits, learnt)| {
+                let start = arena.len() as u32;
+                arena.extend_from_slice(lits);
+                ClauseHeader {
+                    start,
+                    len: lits.len() as u32,
+                    learnt: *learnt,
+                }
+            })
+            .collect();
         Ok(Solver {
-            clauses: snapshot
-                .clauses
-                .into_iter()
-                .map(|(lits, learnt)| Clause { lits, learnt })
+            arena,
+            clauses,
+            // In range of `clauses`, whose count fits `u32` with the arena.
+            watches: snapshot
+                .watches
+                .iter()
+                .map(|ws| ws.iter().map(|&ci| ci as u32).collect())
                 .collect(),
-            watches: snapshot.watches,
             assigns: snapshot.assigns,
             level: snapshot.level,
             reason: snapshot.reason,
@@ -223,6 +265,7 @@ impl Solver {
             var_inc: snapshot.var_inc,
             order,
             seen: vec![false; nvars],
+            learnt: Vec::new(),
             polarity: snapshot.polarity,
             model: snapshot.model,
             ok: snapshot.ok,
@@ -398,6 +441,19 @@ mod tests {
         let v = bad.trail[0].var().index();
         bad.assigns[v] = 0;
         assert!(Solver::from_snapshot(bad).is_err());
+
+        // A clause too short to watch, as the first clause or after others.
+        for len in [0, 1] {
+            for ci in [0, good.clauses.len() - 1] {
+                let mut bad = good.clone();
+                bad.clauses[ci].0.truncate(len);
+                assert!(Solver::from_snapshot(bad).is_err());
+            }
+        }
+        // More literals than u32 arena positions can address (too many to
+        // build, so the check itself is probed).
+        assert!(arena_fits(u32::MAX as usize).is_ok());
+        assert!(arena_fits(u32::MAX as usize + 1).is_err());
 
         let mut bad = good.clone();
         assert!(bad.trail_lim.len() >= 2, "need two decision levels");

@@ -104,12 +104,34 @@ pub struct SolverStats {
     pub restarts: u64,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Clause {
-    pub(crate) lits: Vec<Lit>,
+/// Where one clause sits in [`Solver`]'s literal arena: its literals are
+/// `arena[start..start + len]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ClauseHeader {
+    pub(crate) start: u32,
+    pub(crate) len: u32,
     /// Distinguishes learnt clauses in snapshots (and future clause-database
     /// reduction policies).
     pub(crate) learnt: bool,
+}
+
+impl ClauseHeader {
+    /// The clause's literal positions in the arena.
+    #[inline]
+    pub(crate) fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// Value of `l` under `assigns`: 1 true, -1 false, 0 unassigned.
+#[inline]
+fn value_in(assigns: &[i8], l: Lit) -> i8 {
+    let a = assigns[l.var().index()];
+    if l.is_neg() {
+        -a
+    } else {
+        a
+    }
 }
 
 const UNDEF: i8 = 0;
@@ -131,11 +153,23 @@ const UNDEF: i8 = 0;
 /// propagations, learnt clauses — is part of the contract: conflict and
 /// propagation budgets cut off at the same point on every machine and
 /// checkpoints taken by earlier versions resume identically.
+///
+/// # Clause storage
+///
+/// The literals of every clause live back to back in one arena; a clause is
+/// a [`ClauseHeader`] pointing into it. Adding a clause appends to the arena
+/// and dropping the solver frees it in one piece, so neither costs a heap
+/// allocation per clause. Watch lists hold `u32` clause indices, which the
+/// arena's `u32` positions bound.
 #[derive(Debug, Clone)]
 pub struct Solver {
-    pub(crate) clauses: Vec<Clause>,
+    /// The literals of all clauses, in attachment order.
+    pub(crate) arena: Vec<Lit>,
+    /// One header per clause; clause indices in `watches`/`reason` refer to
+    /// this order.
+    pub(crate) clauses: Vec<ClauseHeader>,
     /// watches[l.code()] = indices of clauses currently watching literal `l`.
-    pub(crate) watches: Vec<Vec<usize>>,
+    pub(crate) watches: Vec<Vec<u32>>,
     /// assigns[v] = 0 (unassigned), 1 (true), -1 (false).
     pub(crate) assigns: Vec<i8>,
     pub(crate) level: Vec<u32>,
@@ -150,6 +184,8 @@ pub struct Solver {
     pub(crate) order: VarHeap,
     /// Per-variable marks of [`Solver::analyze`], all `false` between calls.
     pub(crate) seen: Vec<bool>,
+    /// The clause [`Solver::analyze`] learnt last (asserting literal first).
+    pub(crate) learnt: Vec<Lit>,
     pub(crate) polarity: Vec<bool>,
     pub(crate) model: Vec<i8>,
     pub(crate) ok: bool,
@@ -179,6 +215,7 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Solver {
+            arena: Vec::new(),
             clauses: Vec::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
@@ -191,6 +228,7 @@ impl Solver {
             var_inc: 1.0,
             order: VarHeap::default(),
             seen: Vec::new(),
+            learnt: Vec::new(),
             polarity: Vec::new(),
             model: Vec::new(),
             ok: true,
@@ -283,14 +321,7 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> i8 {
-        let a = self.assigns[l.var().index()];
-        if a == UNDEF {
-            UNDEF
-        } else if l.is_neg() {
-            -a
-        } else {
-            a
-        }
+        value_in(&self.assigns, l)
     }
 
     #[inline]
@@ -318,37 +349,45 @@ impl Solver {
         for l in lits {
             assert!(l.var().index() < self.num_vars(), "unknown variable {l}");
         }
-        // Simplify: sort, dedup, drop false literals, detect tautology and
-        // satisfied clauses. Sorting puts `x` (code 2v) right before `!x`
-        // (code 2v + 1), so a tautology shows as a positive literal followed
-        // by its negation.
-        let mut simplified: Vec<Lit> = lits.to_vec();
-        simplified.sort_unstable();
-        simplified.dedup();
-        let mut kept = 0;
-        for i in 0..simplified.len() {
-            let l = simplified[i];
-            if l.is_pos() && simplified.get(i + 1) == Some(&!l) {
+        // Simplify in place at the end of the arena: sort, drop repeats and
+        // false literals, detect tautology and satisfied clauses. Sorting
+        // puts `x` (code 2v) right before `!x` (code 2v + 1), so a tautology
+        // shows as a positive literal followed by its negation.
+        let start = self.arena.len();
+        self.arena.extend_from_slice(lits);
+        self.arena[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..self.arena.len() {
+            let l = self.arena[i];
+            let value = match self.arena.get(i + 1) {
                 // Tautology: always satisfied.
-                return true;
-            }
-            match self.lit_value(l) {
-                1 => return true, // already satisfied at level 0
-                -1 => {}          // falsified at level 0: drop
+                Some(&next) if l.is_pos() && next == !l => 1,
+                // A repeat: only its last copy is judged.
+                Some(&next) if next == l => continue,
+                _ => self.lit_value(l),
+            };
+            match value {
+                1 => {
+                    // Satisfied (or tautological) at level 0: nothing to add.
+                    self.arena.truncate(start);
+                    return true;
+                }
+                -1 => {} // falsified at level 0: drop
                 _ => {
-                    simplified[kept] = l;
+                    self.arena[kept] = l;
                     kept += 1;
                 }
             }
         }
-        simplified.truncate(kept);
-        match simplified.len() {
+        self.arena.truncate(kept);
+        match kept - start {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(simplified[0], None);
+                let unit = self.arena.pop().expect("one kept literal");
+                self.unchecked_enqueue(unit, None);
                 if self.propagate().is_some() {
                     self.ok = false;
                     return false;
@@ -356,18 +395,31 @@ impl Solver {
                 true
             }
             _ => {
-                self.attach_clause(simplified, false);
+                self.attach_clause(start, false);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> usize {
-        debug_assert!(lits.len() >= 2);
+    /// Attaches the clause whose literals are `arena[start..]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena would outgrow `u32` positions.
+    fn attach_clause(&mut self, start: usize, learnt: bool) -> usize {
+        let end = u32::try_from(self.arena.len()).expect("clause arena exceeds u32::MAX literals");
+        let header = ClauseHeader {
+            start: start as u32,
+            len: end - start as u32,
+            learnt,
+        };
+        debug_assert!(header.len >= 2);
+        // Every clause takes at least two arena positions, so its index
+        // fits `u32` as well.
         let idx = self.clauses.len();
-        self.watches[lits[0].code()].push(idx);
-        self.watches[lits[1].code()].push(idx);
-        self.clauses.push(Clause { lits, learnt });
+        self.watches[self.arena[start].code()].push(idx as u32);
+        self.watches[self.arena[start + 1].code()].push(idx as u32);
+        self.clauses.push(header);
         if learnt {
             self.stats.learned_clauses += 1;
         }
@@ -403,49 +455,36 @@ impl Solver {
             while i < n {
                 let ci = ws[i];
                 i += 1;
+                let lits = &mut self.arena[self.clauses[ci as usize].range()];
                 // Make sure the falsified literal is at position 1.
-                {
-                    let c = &mut self.clauses[ci];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[ci].lits[0];
-                if self.lit_value(first) == 1 {
+                let first = lits[0];
+                let first_value = value_in(&self.assigns, first);
+                if first_value == 1 {
                     ws[j] = ci;
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut found = false;
-                {
-                    let len = self.clauses[ci].lits.len();
-                    for k in 2..len {
-                        let lk = self.clauses[ci].lits[k];
-                        if self.lit_value(lk) != -1 {
-                            self.clauses[ci].lits.swap(1, k);
-                            let new_watch = self.clauses[ci].lits[1];
-                            self.watches[new_watch.code()].push(ci);
-                            found = true;
-                            break;
-                        }
-                    }
-                }
-                if found {
+                if let Some(k) = (2..lits.len()).find(|&k| value_in(&self.assigns, lits[k]) != -1) {
+                    lits.swap(1, k);
+                    self.watches[lits[1].code()].push(ci);
                     continue;
                 }
                 // Clause is unit or conflicting.
                 ws[j] = ci;
                 j += 1;
-                if self.lit_value(first) == -1 {
+                if first_value == -1 {
                     // Conflict: keep the remaining watchers and stop.
                     ws.copy_within(i..n, j);
                     j += n - i;
-                    conflict = Some(ci);
+                    conflict = Some(ci as usize);
                     self.qhead = self.trail.len();
                     break;
                 } else {
-                    self.unchecked_enqueue(first, Some(ci));
+                    self.unchecked_enqueue(first, Some(ci as usize));
                 }
             }
             ws.truncate(j);
@@ -497,14 +536,17 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backtrack level.
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in the solver-owned `learnt` buffer and returns the
+    /// backtrack level.
     ///
     /// Marks go into the solver-owned `seen` buffer; when the UIP is found
     /// only the variables of `learnt[1..]` are still marked, and exactly
     /// those are cleared again.
-    fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, usize) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(Var(0))]; // slot 0 reserved for the UIP
+    fn analyze(&mut self, conflict: usize) -> usize {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::pos(Var(0))); // slot 0 reserved for the UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = conflict;
@@ -512,10 +554,10 @@ impl Solver {
         let current_level = self.decision_level() as u32;
 
         loop {
-            let start = usize::from(p.is_some());
+            let skip = usize::from(p.is_some());
             // Collect literals from the current reason/conflict clause.
-            for k in start..self.clauses[confl].lits.len() {
-                let q = self.clauses[confl].lits[k];
+            for k in self.clauses[confl].range().skip(skip) {
+                let q = self.arena[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -564,7 +606,8 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()] as usize
         };
-        (learnt, backtrack_level)
+        self.learnt = learnt;
+        backtrack_level
     }
 
     /// The next decision variable: the unassigned variable first in
@@ -685,16 +728,18 @@ impl Solver {
                     self.ok = false;
                     break 'outer SolveResult::Unsat;
                 }
-                let (learnt, back_level) = self.analyze(conflict);
+                let back_level = self.analyze(conflict);
                 // Never backtrack past the assumption prefix blindly: the
                 // assumption literals are re-decided by the decision loop, so
                 // plain backjumping is sound.
                 self.cancel_until(back_level);
-                let asserting = learnt[0];
-                if learnt.len() == 1 {
+                let asserting = self.learnt[0];
+                if self.learnt.len() == 1 {
                     self.unchecked_enqueue(asserting, None);
                 } else {
-                    let idx = self.attach_clause(learnt, true);
+                    let start = self.arena.len();
+                    self.arena.extend_from_slice(&self.learnt);
+                    let idx = self.attach_clause(start, true);
                     self.unchecked_enqueue(asserting, Some(idx));
                 }
                 self.decay_activities();
@@ -733,7 +778,9 @@ impl Solver {
                 match self.pick_branch_var() {
                     None => {
                         // All variables assigned: model found.
-                        self.model = self.assigns.clone();
+                        self.model.clone_from(&self.assigns);
+                        #[cfg(debug_assertions)]
+                        self.assert_model_satisfies_original_clauses();
                         break 'outer SolveResult::Sat;
                     }
                     Some(v) => {
@@ -748,6 +795,19 @@ impl Solver {
         // Leave the solver at level 0 so that clauses can be added afterwards.
         self.cancel_until(0);
         result
+    }
+
+    /// Checks a just-found model against every stored non-learnt clause:
+    /// the solver verifies its own Sat verdicts in debug builds.
+    #[cfg(debug_assertions)]
+    fn assert_model_satisfies_original_clauses(&self) {
+        for (ci, header) in self.clauses.iter().enumerate() {
+            let lits = &self.arena[header.range()];
+            assert!(
+                header.learnt || lits.iter().any(|&l| value_in(&self.model, l) == 1),
+                "Sat model falsifies original clause {ci}: {lits:?}"
+            );
+        }
     }
 
     /// Model value of `v` after a successful [`Solver::solve`] call.

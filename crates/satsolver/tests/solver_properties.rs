@@ -30,8 +30,57 @@ fn clause_strategy(num_vars: usize) -> impl Strategy<Value = Vec<Lit>> {
     })
 }
 
+/// A random 3-literal clause over `num_vars` variables.
+fn three_clause(num_vars: usize) -> impl Strategy<Value = Vec<Lit>> {
+    proptest::collection::vec((0..num_vars as u32, proptest::bool::ANY), 3).prop_map(|lits| {
+        lits.into_iter()
+            .map(|(v, pos)| Lit::new(Var(v), pos))
+            .collect()
+    })
+}
+
+/// A solver holding `clauses` over `num_vars` variables.
+fn solver_with(num_vars: usize, clauses: &[Vec<Lit>]) -> Solver {
+    let mut solver = Solver::new();
+    solver.reserve_vars(num_vars);
+    for c in clauses {
+        solver.add_clause(c);
+    }
+    solver
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Pausing at every conflict and rebuilding the solver from its JSON
+    /// snapshot at every pause is invisible: random 3-SAT near the
+    /// satisfiability threshold ends with the verdict, model and stats of
+    /// an uninterrupted solve.
+    #[test]
+    fn snapshot_roundtrip_at_every_pause_keeps_the_search(
+        clauses in proptest::collection::vec(three_clause(20), 70..100),
+    ) {
+        let mut plain = solver_with(20, &clauses);
+        let expected = plain.solve();
+
+        let mut live = solver_with(20, &clauses);
+        live.set_pause_granule(Some(1));
+        let verdict = loop {
+            match live.solve() {
+                SolveResult::Paused => {
+                    let json = serde_json::to_string(&live.snapshot()).unwrap();
+                    live = Solver::from_snapshot(serde_json::from_str(&json).unwrap()).unwrap();
+                    live.set_pause_granule(Some(1));
+                }
+                verdict => break verdict,
+            }
+        };
+        prop_assert_eq!(verdict, expected);
+        prop_assert_eq!(live.stats(), plain.stats());
+        for v in 0..20 {
+            prop_assert_eq!(live.value(Var(v)), plain.value(Var(v)));
+        }
+    }
 
     /// The solver agrees with a brute-force model enumeration on random small
     /// formulas, and reported models actually satisfy every clause.
