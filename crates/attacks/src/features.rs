@@ -12,13 +12,35 @@ use autolock_netlist::{GateId, GateKind, Netlist};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
+/// Longest-path logic levels of a netlist's visible part, with their
+/// maximum taken once per netlist rather than once per link.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VisibleLevels {
+    levels: Vec<usize>,
+    /// The largest level, floored at 1: the normaliser of the level
+    /// features.
+    max: usize,
+}
+
+impl VisibleLevels {
+    /// Level of gate `id` (0 for a gate outside the netlist).
+    pub fn of(&self, id: GateId) -> usize {
+        self.levels.get(id.index()).copied().unwrap_or(0)
+    }
+
+    /// The largest level, floored at 1.
+    pub fn max(&self) -> usize {
+        self.max
+    }
+}
+
 /// Longest-path logic levels of the *visible* part of a locked netlist: edges
 /// incident to `hidden` gates are ignored. Hidden gates keep level 0.
 ///
 /// True drivers sit at a lower level than their sinks, which makes the level
 /// difference a strong link-prediction feature; the extractor consumes the
 /// result of this function.
-pub fn visible_levels(netlist: &Netlist, hidden: &HashSet<GateId>) -> Vec<usize> {
+pub fn visible_levels(netlist: &Netlist, hidden: &HashSet<GateId>) -> VisibleLevels {
     // Kahn-style longest path over the visible sub-DAG.
     let mut indeg = vec![0usize; netlist.len()];
     for (id, gate) in netlist.iter() {
@@ -45,7 +67,8 @@ pub fn visible_levels(netlist: &Netlist, hidden: &HashSet<GateId>) -> Vec<usize>
             }
         }
     }
-    levels
+    let max = levels.iter().copied().max().unwrap_or(1).max(1);
+    VisibleLevels { levels, max }
 }
 
 /// Which features the extractor emits.
@@ -125,7 +148,7 @@ impl LinkFeatureExtractor {
         &self,
         netlist: &Netlist,
         graph: &CsrGraph,
-        levels: &[usize],
+        levels: &VisibleLevels,
         driver: GateId,
         sink: GateId,
         drop_link: bool,
@@ -159,7 +182,7 @@ impl LinkFeatureExtractor {
         &self,
         netlist: &Netlist,
         graph: &CsrGraph,
-        levels: &[usize],
+        levels: &VisibleLevels,
         driver: GateId,
         sink: GateId,
         drop_link: bool,
@@ -206,14 +229,9 @@ impl LinkFeatureExtractor {
         // paths) and a decoy can exceed 2*hops, and saturating that early
         // erases exactly the near/far contrast that separates them.
         let dist_budget = (self.config.hops * 4).max(8);
-        let dist = {
-            let skip = if linked { Some((driver, sink)) } else { None };
-            let d = graph.bfs_distances_skip(driver, dist_budget, skip);
-            d.get(&sink)
-                .copied()
-                .map(|x| x as f64)
-                .unwrap_or((dist_budget + 1) as f64)
-        };
+        let dist = graph
+            .distance(driver, sink, dist_budget, linked.then_some((driver, sink)))
+            .map_or((dist_budget + 1) as f64, |d| d as f64);
         features.push(common);
         features.push(jaccard);
         features.push(dist);
@@ -226,9 +244,9 @@ impl LinkFeatureExtractor {
 
         // Logic-level features: a true driver sits below its sink, usually by
         // a small number of levels.
-        let lvl_u = levels.get(driver.index()).copied().unwrap_or(0) as f64;
-        let lvl_v = levels.get(sink.index()).copied().unwrap_or(0) as f64;
-        let max_level = levels.iter().copied().max().unwrap_or(1).max(1) as f64;
+        let lvl_u = levels.of(driver) as f64;
+        let lvl_v = levels.of(sink) as f64;
+        let max_level = levels.max() as f64;
         features.push(lvl_u / max_level);
         features.push(lvl_v / max_level);
         features.push(lvl_v - lvl_u);
@@ -280,7 +298,7 @@ mod tests {
     use super::*;
     use autolock_circuits::c17;
 
-    fn no_hidden(nl: &Netlist) -> Vec<usize> {
+    fn no_hidden(nl: &Netlist) -> VisibleLevels {
         visible_levels(nl, &HashSet::new())
     }
 
@@ -342,23 +360,38 @@ mod tests {
         let levels = no_hidden(&nl);
         let ex = LinkFeatureExtractor::new(LinkFeatureConfig::default());
         let dropped = ex.extract(&nl, &graph, &levels, u, v, true);
-        // Reference: same netlist with the G16→G23 wire rerouted out of the
-        // graph by hiding it via an explicitly-removed-edge CSR build.
-        let reference_graph = {
-            use autolock_netlist::graph::UndirectedGraph;
-            UndirectedGraph::from_netlist_without_edges(&nl, &[(u, v)])
+        // Reference: the endpoint degrees with the G16→G23 wire removed,
+        // counted straight from the fan-in lists.
+        let fanouts = nl.fanouts();
+        let degree_without_link = |id: GateId| {
+            let mut neighbours: Vec<GateId> = nl
+                .gate(id)
+                .fanin
+                .iter()
+                .chain(&fanouts[id.index()])
+                .copied()
+                .filter(|&w| (id, w) != (u, v) && (id, w) != (v, u))
+                .collect();
+            neighbours.sort_unstable();
+            neighbours.dedup();
+            neighbours.len()
         };
-        // Spot-check the structural scalars against the reference graph.
         assert_eq!(
             dropped[2 * GateKind::NUM_CODES] as usize,
-            reference_graph.degree(u),
+            degree_without_link(u),
             "driver degree must match the edge-removed graph"
         );
         assert_eq!(
             dropped[2 * GateKind::NUM_CODES + 1] as usize,
-            reference_graph.degree(v),
+            degree_without_link(v),
             "sink degree must match the edge-removed graph"
         );
+        // The distance feature routes around the hidden wire: it equals a
+        // one-sided BFS that never walks it.
+        let dist_at = 2 * GateKind::NUM_CODES + 6 + 2;
+        let rerouted = graph.bfs_distances(u, 8, Some((u, v)))[v.index()];
+        assert_eq!(dropped[dist_at], f64::from(rerouted));
+        assert!(dropped[dist_at] > 1.0);
     }
 
     #[test]
@@ -387,12 +420,13 @@ mod tests {
         let g10 = nl.find("G10gat").unwrap();
         let g22 = nl.find("G22gat").unwrap();
         let all = no_hidden(&nl);
-        assert_eq!(all[nl.find("G1gat").unwrap().index()], 0);
-        assert_eq!(all[g10.index()], 1);
-        assert_eq!(all[g22.index()], 3);
+        assert_eq!(all.of(nl.find("G1gat").unwrap()), 0);
+        assert_eq!(all.of(g10), 1);
+        assert_eq!(all.of(g22), 3);
+        assert_eq!(all.max(), 3);
         // Hiding G16 shortens G22's visible level (only the G10 path remains).
         let hidden: HashSet<_> = [nl.find("G16gat").unwrap()].into_iter().collect();
         let partial = visible_levels(&nl, &hidden);
-        assert_eq!(partial[g22.index()], 2);
+        assert_eq!(partial.of(g22), 2);
     }
 }

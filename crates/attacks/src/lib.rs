@@ -34,7 +34,9 @@ mod sat;
 pub use autolock_gnn::SortPoolK;
 pub use baselines::{has_mux_key_gates, RandomGuessAttack, XorStructuralAttack};
 pub use cache::{netlist_fingerprint, CacheStats, SubgraphCache};
-pub use features::{visible_levels, FeatureMode, LinkFeatureConfig, LinkFeatureExtractor};
+pub use features::{
+    visible_levels, FeatureMode, LinkFeatureConfig, LinkFeatureExtractor, VisibleLevels,
+};
 pub use muxlink::{MuxCandidate, MuxLinkAttack, MuxLinkBackend, MuxLinkConfig, TrainedLinkModel};
 pub use report::{AttackOutcome, KeyGuess};
 pub use sat::{

@@ -22,7 +22,9 @@
 //!    and report per-bit confidence = normalized score margin.
 
 use crate::cache::{netlist_fingerprint, CacheStats, SubgraphCache};
-use crate::features::{visible_levels, FeatureMode, LinkFeatureConfig, LinkFeatureExtractor};
+use crate::features::{
+    visible_levels, FeatureMode, LinkFeatureConfig, LinkFeatureExtractor, VisibleLevels,
+};
 use crate::report::{AttackOutcome, KeyGuess};
 use crate::KeyRecoveryAttack;
 use autolock_gnn::{
@@ -511,7 +513,7 @@ impl MuxLinkAttack {
         netlist: &Netlist,
         graph: &CsrGraph,
         fingerprint: u64,
-        levels: &[usize],
+        levels: &VisibleLevels,
         extractor: &LinkFeatureExtractor,
         positives: &[(GateId, GateId)],
         negatives: &[(GateId, GateId)],

@@ -10,9 +10,9 @@
 //! primitives:
 //!
 //! 1. **[`SubgraphTensor`]** — an enclosing subgraph
-//!    ([`autolock_netlist::graph::enclosing_subgraph`]) turned into a tensor:
-//!    degree-normalized adjacency `Â = D̃⁻¹(A + I)` plus one node-feature row
-//!    per gate (gate-kind one-hot ⊕ clipped DRNL-label one-hot ⊕ normalized
+//!    ([`autolock_netlist::graph::CsrGraph::enclosing_subgraph`]) turned
+//!    into a tensor: degree-normalized adjacency `Â = D̃⁻¹(A + I)` plus one
+//!    node-feature row per gate (gate-kind one-hot ⊕ clipped DRNL-label one-hot ⊕ normalized
 //!    degree). This mirrors MuxLink's node labelling, which feeds gate types
 //!    and Double-Radius Node Labels to the DGCNN.
 //! 2. **[`GraphConv`]** — spatial graph convolution
@@ -44,7 +44,7 @@
 //!
 //! ```
 //! use autolock_gnn::{Dgcnn, DgcnnConfig, LinkPredictor, SubgraphTensor};
-//! use autolock_netlist::graph::{enclosing_subgraph, UndirectedGraph};
+//! use autolock_netlist::graph::CsrGraph;
 //! use autolock_netlist::{GateKind, Netlist};
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
@@ -57,8 +57,8 @@
 //! let y = nl.add_gate("y", GateKind::Not, vec![g]).unwrap();
 //! nl.mark_output(y);
 //!
-//! let graph = UndirectedGraph::from_netlist_without_edges(&nl, &[(a, g)]);
-//! let sg = enclosing_subgraph(&graph, a, g, 2);
+//! // Hide the (a, g) link itself while extracting its neighbourhood.
+//! let sg = CsrGraph::from_netlist(&nl).enclosing_subgraph(a, g, 2, true);
 //! let tensor = SubgraphTensor::from_enclosing(&nl, &sg, 8);
 //!
 //! let mut rng = ChaCha8Rng::seed_from_u64(1);

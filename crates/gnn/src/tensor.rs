@@ -270,7 +270,7 @@ impl SubgraphTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autolock_netlist::graph::{enclosing_subgraph, UndirectedGraph};
+    use autolock_netlist::graph::CsrGraph;
     use autolock_netlist::{GateKind, Netlist};
 
     fn tiny() -> (Netlist, SubgraphTensor) {
@@ -280,8 +280,7 @@ mod tests {
         let g = nl.add_gate("g", GateKind::And, vec![a, b]).unwrap();
         let y = nl.add_gate("y", GateKind::Not, vec![g]).unwrap();
         nl.mark_output(y);
-        let graph = UndirectedGraph::from_netlist_without_edges(&nl, &[(a, g)]);
-        let sg = enclosing_subgraph(&graph, a, g, 2);
+        let sg = CsrGraph::from_netlist(&nl).enclosing_subgraph(a, g, 2, true);
         let t = SubgraphTensor::from_enclosing(&nl, &sg, 8);
         (nl, t)
     }
@@ -348,11 +347,8 @@ mod tests {
     #[test]
     fn pooled_construction_is_bit_identical_and_recycles() {
         let (nl, t) = tiny();
-        let graph = UndirectedGraph::from_netlist_without_edges(
-            &nl,
-            &[(nl.find("a").unwrap(), nl.find("g").unwrap())],
-        );
-        let sg = enclosing_subgraph(&graph, nl.find("a").unwrap(), nl.find("g").unwrap(), 2);
+        let (a, g) = (nl.find("a").unwrap(), nl.find("g").unwrap());
+        let sg = CsrGraph::from_netlist(&nl).enclosing_subgraph(a, g, 2, true);
         let pool = ScratchPool::new();
         // Two rounds: the second reuses the first round's recycled buffers.
         for _ in 0..2 {

@@ -16,7 +16,7 @@
 
 use crate::mux::{apply_loci, lockable_wires, MuxPairLocus};
 use crate::{LockError, LockedNetlist, LockingScheme, Result};
-use autolock_netlist::graph::UndirectedGraph;
+use autolock_netlist::graph::{CsrGraph, UNREACHED};
 use autolock_netlist::{GateId, Netlist};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
@@ -98,9 +98,7 @@ impl DMuxLocking {
         // The localized strategy measures driver-to-driver distances on the
         // undirected netlist graph; build it once per selection run.
         let locality_graph = match self.strategy {
-            PairSelectionStrategy::Localized { .. } => {
-                Some(UndirectedGraph::from_netlist(original))
-            }
+            PairSelectionStrategy::Localized { .. } => Some(CsrGraph::from_netlist(original)),
             _ => None,
         };
         // Incremental reachability view: the original driver→sink edges plus
@@ -186,7 +184,7 @@ impl DMuxLocking {
     fn pick_partner(
         &self,
         original: &Netlist,
-        locality_graph: Option<&UndirectedGraph>,
+        locality_graph: Option<&CsrGraph>,
         wires: &[(GateId, GateId)],
         first: (GateId, GateId),
         used: &HashSet<(GateId, GateId)>,
@@ -223,11 +221,11 @@ impl DMuxLocking {
             }
             PairSelectionStrategy::Localized { radius } => {
                 let graph = locality_graph.expect("localized strategy builds the graph");
-                let ball = graph.bfs_distances(f_i, radius.max(1));
+                let ball = graph.bfs_distances(f_i, radius.max(1), None);
                 let matching: Vec<(GateId, GateId)> = wires
                     .iter()
                     .copied()
-                    .filter(|w| acceptable(w) && ball.contains_key(&w.0))
+                    .filter(|w| acceptable(w) && ball[w.0.index()] != UNREACHED)
                     .collect();
                 if let Some(&cand) = matching.choose(rng) {
                     return Some(cand);
@@ -329,10 +327,10 @@ mod tests {
         assert_eq!(loci.len(), 16);
         // The overwhelming majority of pairs must honour the radius (the
         // random fallback only fires when no wire is in range).
-        let graph = UndirectedGraph::from_netlist(&original);
+        let graph = CsrGraph::from_netlist(&original);
         let within = loci
             .iter()
-            .filter(|l| graph.bfs_distances(l.f_i, radius).contains_key(&l.f_j))
+            .filter(|l| graph.distance(l.f_i, l.f_j, radius, None).is_some())
             .count();
         assert!(
             within >= loci.len() - 2,

@@ -1,6 +1,7 @@
 //! Multi-layer perceptron for binary classification.
 
 use crate::logistic::binary_cross_entropy;
+use crate::optim::{adam_step_flat, AdamParams};
 use crate::{sigmoid, Dataset, Matrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -260,35 +261,39 @@ impl Mlp {
             }
         }
 
-        // Adam update.
+        // Adam update through the shared flat kernel: gradients are
+        // batch-averaged first, and the bias step carries no L2 term.
         self.adam_t += 1;
-        let t = self.adam_t as f64;
-        let (beta1, beta2, eps) = (0.9, 0.999, 1e-8);
-        let lr = self.config.learning_rate;
-        let l2 = self.config.l2;
+        let weight_hp = AdamParams {
+            learning_rate: self.config.learning_rate,
+            l2: self.config.l2,
+            ..AdamParams::default()
+        };
+        let bias_hp = AdamParams {
+            l2: 0.0,
+            ..weight_hp
+        };
         let scale = 1.0 / batch.len() as f64;
-        for (layer, (gw, gb)) in self.layers.iter_mut().zip(grad_w.iter().zip(&grad_b)) {
-            for r in 0..layer.weights.rows() {
-                for c in 0..layer.weights.cols() {
-                    let g = gw.get(r, c) * scale + l2 * layer.weights.get(r, c);
-                    let m = beta1 * layer.m_w.get(r, c) + (1.0 - beta1) * g;
-                    let v = beta2 * layer.v_w.get(r, c) + (1.0 - beta2) * g * g;
-                    layer.m_w.set(r, c, m);
-                    layer.v_w.set(r, c, v);
-                    let m_hat = m / (1.0 - beta1.powf(t));
-                    let v_hat = v / (1.0 - beta2.powf(t));
-                    let step = lr * m_hat / (v_hat.sqrt() + eps);
-                    layer.weights.set(r, c, layer.weights.get(r, c) - step);
-                }
-            }
-            for (j, &gbj) in gb.iter().enumerate().take(layer.bias.len()) {
-                let g = gbj * scale;
-                layer.m_b[j] = beta1 * layer.m_b[j] + (1.0 - beta1) * g;
-                layer.v_b[j] = beta2 * layer.v_b[j] + (1.0 - beta2) * g * g;
-                let m_hat = layer.m_b[j] / (1.0 - beta1.powf(t));
-                let v_hat = layer.v_b[j] / (1.0 - beta2.powf(t));
-                layer.bias[j] -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
+        for (layer, (mut gw, mut gb)) in self.layers.iter_mut().zip(grad_w.into_iter().zip(grad_b))
+        {
+            gw.data_mut().iter_mut().for_each(|g| *g *= scale);
+            gb.iter_mut().for_each(|g| *g *= scale);
+            adam_step_flat(
+                layer.weights.data_mut(),
+                gw.data(),
+                layer.m_w.data_mut(),
+                layer.v_w.data_mut(),
+                self.adam_t,
+                &weight_hp,
+            );
+            adam_step_flat(
+                &mut layer.bias,
+                &gb,
+                &mut layer.m_b,
+                &mut layer.v_b,
+                self.adam_t,
+                &bias_hp,
+            );
         }
         batch_loss
     }

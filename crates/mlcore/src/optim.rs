@@ -1,9 +1,8 @@
 //! Reusable first-order optimizers.
 //!
-//! [`Mlp`](crate::Mlp) keeps its historical inline Adam update (so its
-//! training trajectories stay byte-stable); new learners — in particular the
-//! DGCNN in `autolock_gnn` — share this implementation instead of re-rolling
-//! the moment bookkeeping per parameter tensor.
+//! One Adam kernel serves every learner: the DGCNN in `autolock_gnn` through
+//! [`AdamState`]/[`AdamVecState`], and [`Mlp`](crate::Mlp), which keeps its
+//! moments in its own serialized layers, through the flat kernel directly.
 
 use crate::Matrix;
 use serde::{Deserialize, Serialize};
@@ -110,11 +109,11 @@ impl AdamVecState {
     }
 }
 
-/// The shared flat-slice Adam kernel behind [`AdamState`] and
-/// [`AdamVecState`]: identical arithmetic per element, applied in storage
-/// order (which keeps updates deterministic and cache-friendly for
-/// row-major tensors).
-fn adam_step_flat(
+/// The shared flat-slice Adam kernel behind [`AdamState`],
+/// [`AdamVecState`] and the MLP: identical arithmetic per element, applied
+/// in storage order (which keeps updates deterministic and cache-friendly
+/// for row-major tensors). `t` is the 1-based step count.
+pub(crate) fn adam_step_flat(
     params: &mut [f64],
     grad: &[f64],
     m: &mut [f64],

@@ -2,175 +2,32 @@
 //!
 //! Link-prediction attacks (MuxLink-style) treat the netlist as an undirected
 //! graph whose nodes are gates and whose edges are driver→sink connections.
-//! This module provides the adjacency structures and the *enclosing subgraph*
-//! extraction (the h-hop neighbourhood around a candidate link) those attacks
-//! operate on, together with Double-Radius Node Labelling (DRNL) as used by
-//! SEAL-style link predictors.
+//! This module provides that graph ([`CsrGraph`]), its bounded neighbourhood
+//! queries, and the *enclosing subgraph* extraction (the h-hop neighbourhood
+//! around a candidate link) those attacks operate on, together with
+//! Double-Radius Node Labelling (DRNL) as used by SEAL-style link predictors.
 
 use crate::{GateId, Netlist};
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
 
-/// Undirected adjacency view of a netlist.
-#[derive(Debug, Clone)]
-pub struct UndirectedGraph {
-    adj: Vec<Vec<GateId>>,
-}
-
-impl UndirectedGraph {
-    /// Builds the undirected graph of a netlist (one node per gate, one edge
-    /// per driver→sink connection; duplicate edges are collapsed).
-    pub fn from_netlist(nl: &Netlist) -> Self {
-        let mut adj: Vec<Vec<GateId>> = vec![Vec::new(); nl.len()];
-        for (id, gate) in nl.iter() {
-            for &f in &gate.fanin {
-                if !adj[id.index()].contains(&f) {
-                    adj[id.index()].push(f);
-                }
-                if !adj[f.index()].contains(&id) {
-                    adj[f.index()].push(id);
-                }
-            }
-        }
-        UndirectedGraph { adj }
-    }
-
-    /// Builds the graph while ignoring a set of edges (given as `(driver,
-    /// sink)` pairs). The link-prediction attack removes the candidate link
-    /// itself before extracting its enclosing subgraph.
-    pub fn from_netlist_without_edges(nl: &Netlist, excluded: &[(GateId, GateId)]) -> Self {
-        let is_excluded = |a: GateId, b: GateId| {
-            excluded
-                .iter()
-                .any(|&(x, y)| (x == a && y == b) || (x == b && y == a))
-        };
-        let mut adj: Vec<Vec<GateId>> = vec![Vec::new(); nl.len()];
-        for (id, gate) in nl.iter() {
-            for &f in &gate.fanin {
-                if is_excluded(f, id) {
-                    continue;
-                }
-                if !adj[id.index()].contains(&f) {
-                    adj[id.index()].push(f);
-                }
-                if !adj[f.index()].contains(&id) {
-                    adj[f.index()].push(id);
-                }
-            }
-        }
-        UndirectedGraph { adj }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Returns `true` if the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
-    /// Neighbours of a node.
-    pub fn neighbors(&self, id: GateId) -> &[GateId] {
-        &self.adj[id.index()]
-    }
-
-    /// Node degree.
-    pub fn degree(&self, id: GateId) -> usize {
-        self.adj[id.index()].len()
-    }
-
-    /// Breadth-first distances from `source` up to `max_hops` (inclusive).
-    /// Nodes further away are absent from the map.
-    pub fn bfs_distances(&self, source: GateId, max_hops: usize) -> HashMap<GateId, usize> {
-        let mut dist = HashMap::new();
-        dist.insert(source, 0usize);
-        let mut queue = VecDeque::from([source]);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[&u];
-            if du == max_hops {
-                continue;
-            }
-            for &v in self.neighbors(u) {
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(v) {
-                    e.insert(du + 1);
-                    queue.push_back(v);
-                }
-            }
-        }
-        dist
-    }
-
-    /// Returns a copy of the graph with the undirected edge `(a, b)` removed
-    /// (if present). Link-prediction training uses this to hide a known link
-    /// before extracting its enclosing subgraph.
-    pub fn without_edge(&self, a: GateId, b: GateId) -> UndirectedGraph {
-        let mut adj = self.adj.clone();
-        adj[a.index()].retain(|&n| n != b);
-        adj[b.index()].retain(|&n| n != a);
-        UndirectedGraph { adj }
-    }
-
-    /// Builds the graph while skipping every edge incident to a node for which
-    /// `hidden(node)` returns `true`. Attacks use this to remove key inputs
-    /// and key gates from the structural view.
-    pub fn from_netlist_filtered<F: Fn(GateId) -> bool>(nl: &Netlist, hidden: F) -> Self {
-        let mut adj: Vec<Vec<GateId>> = vec![Vec::new(); nl.len()];
-        for (id, gate) in nl.iter() {
-            if hidden(id) {
-                continue;
-            }
-            for &f in &gate.fanin {
-                if hidden(f) {
-                    continue;
-                }
-                if !adj[id.index()].contains(&f) {
-                    adj[id.index()].push(f);
-                }
-                if !adj[f.index()].contains(&id) {
-                    adj[f.index()].push(id);
-                }
-            }
-        }
-        UndirectedGraph { adj }
-    }
-
-    /// Number of common neighbours of two nodes (a classic link-prediction
-    /// heuristic, used by baseline attacks).
-    pub fn common_neighbors(&self, a: GateId, b: GateId) -> usize {
-        self.neighbors(a)
-            .iter()
-            .filter(|x| self.neighbors(b).contains(x))
-            .count()
-    }
-
-    /// Jaccard similarity of the neighbourhoods of two nodes.
-    pub fn jaccard(&self, a: GateId, b: GateId) -> f64 {
-        let common = self.common_neighbors(a, b);
-        let union = self.degree(a) + self.degree(b) - common;
-        if union == 0 {
-            0.0
-        } else {
-            common as f64 / union as f64
-        }
-    }
-}
+/// Distance of a node that a bounded search did not reach
+/// ([`CsrGraph::bfs_distances`]).
+pub const UNREACHED: u32 = u32::MAX;
 
 /// Compressed-sparse-row undirected view of a netlist.
 ///
-/// Stores the same graph as [`UndirectedGraph`] in two flat arrays instead of
-/// one `Vec` per node, which matters once circuits reach ISCAS scale: a
-/// 7500-gate netlist is ~30k adjacency entries in two contiguous allocations
-/// rather than 7500 heap vectors. Per-node adjacency is sorted, so
-/// neighbourhood intersection ([`CsrGraph::common_neighbors`]) is a linear
-/// merge instead of a quadratic scan.
+/// The graph lives in two flat arrays instead of one `Vec` per node, which
+/// matters once circuits reach ISCAS scale: a 7500-gate netlist is ~30k
+/// adjacency entries in two contiguous allocations rather than 7500 heap
+/// vectors. Per-node adjacency is sorted, so neighbourhood intersection
+/// ([`CsrGraph::common_neighbors`]) is a linear merge instead of a quadratic
+/// scan.
 ///
-/// The link-prediction attacks additionally need to extract the enclosing
-/// subgraph of a link *with that link hidden* (positive training examples).
-/// [`UndirectedGraph::without_edge`] does this by cloning the whole adjacency
-/// per sample; `CsrGraph` instead threads an optional skipped edge through
-/// BFS and subgraph extraction, so large-circuit attacks never copy the
-/// graph at all.
+/// The link-prediction attacks additionally need neighbourhoods of a link
+/// *with that link hidden* (positive training examples). Instead of cloning
+/// the adjacency without the edge, every query takes an optional skipped
+/// edge, so large-circuit attacks never copy the graph at all. Queries keep
+/// their per-node state in dense buffers indexed by gate, not in hash maps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[i]..offsets[i + 1]` indexes node `i`'s neighbours in `adj`.
@@ -280,42 +137,77 @@ impl CsrGraph {
         }
     }
 
-    /// Breadth-first distances from `source` up to `max_hops` (inclusive),
-    /// optionally treating the undirected edge `skip` as absent. Nodes
-    /// further away are absent from the map, which stays sized by the
-    /// neighbourhood rather than the netlist.
-    pub fn bfs_distances_skip(
+    /// Breadth-first hop distances from `source`, up to `max_hops`
+    /// (inclusive), with the undirected edge `skip` treated as absent.
+    ///
+    /// The result is dense and indexed by gate: `dist[g.index()]` is the hop
+    /// count of gate `g`, or [`UNREACHED`] past the budget (or in another
+    /// component).
+    pub fn bfs_distances(
         &self,
         source: GateId,
         max_hops: usize,
         skip: Option<(GateId, GateId)>,
-    ) -> HashMap<GateId, usize> {
-        let mut dist = HashMap::new();
-        dist.insert(source, 0usize);
-        let mut queue = VecDeque::from([source]);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[&u];
-            if du == max_hops {
-                continue;
-            }
-            for &v in self.neighbors(u) {
-                if let Some((x, y)) = skip {
-                    if (u == x && v == y) || (u == y && v == x) {
-                        continue;
-                    }
-                }
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(v) {
-                    e.insert(du + 1);
-                    queue.push_back(v);
-                }
-            }
-        }
+    ) -> Vec<u32> {
+        let mut dist = vec![UNREACHED; self.len()];
+        self.bfs_into(source, max_hops, skip, None, &mut dist, &mut Vec::new());
         dist
     }
 
-    /// Breadth-first distances from `source` up to `max_hops` (inclusive).
-    pub fn bfs_distances(&self, source: GateId, max_hops: usize) -> HashMap<GateId, usize> {
-        self.bfs_distances_skip(source, max_hops, None)
+    /// Hop distance between `u` and `v` with the undirected edge `skip`
+    /// treated as absent: `Some(d)` when the shortest path has `d <=
+    /// max_hops` edges, `None` when it is longer or does not exist.
+    ///
+    /// A breadth-first search from `u` that stops as soon as it reaches `v`,
+    /// so it pays for the ball of radius `d` around `u` (the whole
+    /// `max_hops` ball when it returns `None`).
+    pub fn distance(
+        &self,
+        u: GateId,
+        v: GateId,
+        max_hops: usize,
+        skip: Option<(GateId, GateId)>,
+    ) -> Option<usize> {
+        let mut dist = borrow_buffer(self.len());
+        let mut reached = Vec::new();
+        self.bfs_into(u, max_hops, skip, Some(v), &mut dist, &mut reached);
+        let d = dist[v.index()];
+        return_buffer(dist, &reached);
+        (d != UNREACHED).then_some(d as usize)
+    }
+
+    /// Breadth-first search from `source` into the dense `dist` (which must
+    /// be [`UNREACHED`] on every node the search can reach), stopping as
+    /// soon as it reaches `stop`. Reached nodes are appended to `reached`
+    /// in visit order; the appended tail doubles as the BFS queue.
+    fn bfs_into(
+        &self,
+        source: GateId,
+        max_hops: usize,
+        skip: Option<(GateId, GateId)>,
+        stop: Option<GateId>,
+        dist: &mut [u32],
+        reached: &mut Vec<GateId>,
+    ) {
+        let mut head = reached.len();
+        dist[source.index()] = 0;
+        reached.push(source);
+        while let Some(&x) = reached.get(head) {
+            head += 1;
+            let dx = dist[x.index()];
+            if dx as usize == max_hops {
+                continue;
+            }
+            for &y in self.neighbors(x) {
+                if dist[y.index()] == UNREACHED && !is_skipped(skip, x, y) {
+                    dist[y.index()] = dx + 1;
+                    reached.push(y);
+                    if Some(y) == stop {
+                        return;
+                    }
+                }
+            }
+        }
     }
 
     /// Extracts the `hops`-hop enclosing subgraph of the candidate link
@@ -330,24 +222,24 @@ impl CsrGraph {
         hops: usize,
         drop_link: bool,
     ) -> EnclosingSubgraph {
-        let skip = if drop_link { Some((u, v)) } else { None };
-        let du = self.bfs_distances_skip(u, hops, skip);
-        let dv = self.bfs_distances_skip(v, hops, skip);
-        let mut nodes: Vec<GateId> = du.keys().chain(dv.keys()).copied().collect();
-        nodes.push(u);
-        nodes.push(v);
+        let skip = drop_link.then_some((u, v));
+        let mut du = borrow_buffer(self.len());
+        let mut dv = borrow_buffer(self.len());
+        // Both balls (each contains its own endpoint), sorted by gate id.
+        let mut nodes = Vec::new();
+        self.bfs_into(u, hops, skip, None, &mut du, &mut nodes);
+        self.bfs_into(v, hops, skip, None, &mut dv, &mut nodes);
         nodes.sort_unstable();
         nodes.dedup();
-        let index_of: HashMap<GateId, usize> =
-            nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let dist_u: Vec<usize> = nodes
-            .iter()
-            .map(|n| du.get(n).copied().unwrap_or(usize::MAX))
-            .collect();
-        let dist_v: Vec<usize> = nodes
-            .iter()
-            .map(|n| dv.get(n).copied().unwrap_or(usize::MAX))
-            .collect();
+        let widen = |d: u32| {
+            if d == UNREACHED {
+                usize::MAX
+            } else {
+                d as usize
+            }
+        };
+        let dist_u: Vec<usize> = nodes.iter().map(|n| widen(du[n.index()])).collect();
+        let dist_v: Vec<usize> = nodes.iter().map(|n| widen(dv[n.index()])).collect();
         let drnl: Vec<usize> = nodes
             .iter()
             .enumerate()
@@ -359,19 +251,25 @@ impl CsrGraph {
                 }
             })
             .collect();
+        // `du` becomes the gate → subgraph-index map: every node of `u`'s
+        // ball is in `nodes`, so every gate outside the subgraph still reads
+        // `UNREACHED`.
+        let mut index_of = du;
+        for (i, n) in nodes.iter().enumerate() {
+            index_of[n.index()] = i as u32;
+        }
         let mut edges = Vec::new();
         for (i, &n) in nodes.iter().enumerate() {
             for &m in self.neighbors(n) {
-                if drop_link && ((n == u && m == v) || (n == v && m == u)) {
-                    continue;
-                }
-                if let Some(&j) = index_of.get(&m) {
-                    if i < j {
-                        edges.push((i, j));
-                    }
+                let j = index_of[m.index()];
+                if j != UNREACHED && i < j as usize && !is_skipped(skip, n, m) {
+                    edges.push((i, j as usize));
                 }
             }
         }
+        // Both buffers were written only at subgraph nodes.
+        return_buffer(index_of, &nodes);
+        return_buffer(dv, &nodes);
         EnclosingSubgraph {
             u,
             v,
@@ -382,6 +280,36 @@ impl CsrGraph {
             edges,
         }
     }
+}
+
+thread_local! {
+    /// This thread's spare per-gate buffers, [`UNREACHED`] throughout.
+    /// Queries borrow them and reset only the entries they wrote, so a query
+    /// costs the nodes it visits rather than `len()` words of fill.
+    static SPARE_BUFFERS: RefCell<Vec<Vec<u32>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A per-gate buffer of at least `len` entries, all [`UNREACHED`].
+fn borrow_buffer(len: usize) -> Vec<u32> {
+    let mut buf = SPARE_BUFFERS.with_borrow_mut(Vec::pop).unwrap_or_default();
+    if buf.len() < len {
+        buf.resize(len, UNREACHED);
+    }
+    buf
+}
+
+/// Hands back a borrowed buffer after resetting the entries of `written`,
+/// which must cover every entry the borrower changed.
+fn return_buffer(mut buf: Vec<u32>, written: &[GateId]) {
+    for g in written {
+        buf[g.index()] = UNREACHED;
+    }
+    SPARE_BUFFERS.with_borrow_mut(|spare| spare.push(buf));
+}
+
+/// Whether the undirected edge `(a, b)` is the skipped one.
+fn is_skipped(skip: Option<(GateId, GateId)>, a: GateId, b: GateId) -> bool {
+    matches!(skip, Some((x, y)) if (a == x && b == y) || (a == y && b == x))
 }
 
 /// The enclosing subgraph of a candidate link `(u, v)`: all nodes within
@@ -403,70 +331,6 @@ pub struct EnclosingSubgraph {
     pub drnl: Vec<usize>,
     /// Edges of the subgraph as index pairs into `nodes`.
     pub edges: Vec<(usize, usize)>,
-}
-
-/// Extracts the `hops`-hop enclosing subgraph of the candidate link `(u, v)`
-/// on `graph`. The candidate link itself must already be absent from `graph`
-/// (use [`UndirectedGraph::from_netlist_without_edges`]).
-pub fn enclosing_subgraph(
-    graph: &UndirectedGraph,
-    u: GateId,
-    v: GateId,
-    hops: usize,
-) -> EnclosingSubgraph {
-    let du = graph.bfs_distances(u, hops);
-    let dv = graph.bfs_distances(v, hops);
-    let mut nodes: Vec<GateId> = du.keys().chain(dv.keys()).copied().collect();
-    nodes.sort();
-    nodes.dedup();
-    // Always include endpoints even if isolated.
-    if !nodes.contains(&u) {
-        nodes.push(u);
-    }
-    if !nodes.contains(&v) {
-        nodes.push(v);
-        nodes.sort();
-        nodes.dedup();
-    }
-    let index_of: HashMap<GateId, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let dist_u: Vec<usize> = nodes
-        .iter()
-        .map(|n| du.get(n).copied().unwrap_or(usize::MAX))
-        .collect();
-    let dist_v: Vec<usize> = nodes
-        .iter()
-        .map(|n| dv.get(n).copied().unwrap_or(usize::MAX))
-        .collect();
-    let drnl: Vec<usize> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            if n == u || n == v {
-                1
-            } else {
-                drnl_label(dist_u[i], dist_v[i])
-            }
-        })
-        .collect();
-    let mut edges = Vec::new();
-    for (i, &n) in nodes.iter().enumerate() {
-        for &m in graph.neighbors(n) {
-            if let Some(&j) = index_of.get(&m) {
-                if i < j {
-                    edges.push((i, j));
-                }
-            }
-        }
-    }
-    EnclosingSubgraph {
-        u,
-        v,
-        nodes,
-        dist_u,
-        dist_v,
-        drnl,
-        edges,
-    }
 }
 
 /// Double-Radius Node Labelling (Zhang & Chen, SEAL). Labels encode the pair
@@ -498,10 +362,29 @@ mod tests {
         (nl, a, x, y, z)
     }
 
+    /// Brute-force adjacency straight from the fan-in lists: both
+    /// directions of every wire, deduplicated and sorted.
+    fn reference_adjacency(nl: &Netlist, hidden: impl Fn(GateId) -> bool) -> Vec<Vec<GateId>> {
+        let mut adj = vec![Vec::new(); nl.len()];
+        for (id, gate) in nl.iter() {
+            for &f in &gate.fanin {
+                if !hidden(id) && !hidden(f) {
+                    adj[id.index()].push(f);
+                    adj[f.index()].push(id);
+                }
+            }
+        }
+        for list in &mut adj {
+            list.sort_unstable();
+            list.dedup();
+        }
+        adj
+    }
+
     #[test]
     fn undirected_adjacency() {
         let (nl, a, x, y, z) = diamond();
-        let g = UndirectedGraph::from_netlist(&nl);
+        let g = CsrGraph::from_netlist(&nl);
         assert_eq!(g.len(), 4);
         assert_eq!(g.degree(a), 2);
         assert_eq!(g.degree(z), 2);
@@ -513,49 +396,61 @@ mod tests {
 
     #[test]
     fn excluded_edges_are_absent() {
-        let (nl, a, x, _y, _z) = diamond();
-        let g = UndirectedGraph::from_netlist_without_edges(&nl, &[(a, x)]);
-        assert!(!g.neighbors(a).contains(&x));
-        assert!(!g.neighbors(x).contains(&a));
+        // A skipped edge is never walked: with a–x hidden, x is only
+        // reachable the long way round (a → y → z → x).
+        let (nl, a, x, y, _z) = diamond();
+        let g = CsrGraph::from_netlist(&nl);
+        let d = g.bfs_distances(a, 4, Some((a, x)));
+        assert_eq!(d[x.index()], 3);
+        assert_eq!(d[y.index()], 1);
+        assert_eq!(g.distance(a, x, 4, Some((a, x))), Some(3));
+        assert_eq!(g.distance(a, x, 2, Some((a, x))), None);
     }
 
     #[test]
     fn without_edge_removes_both_directions() {
         let (nl, a, x, _y, _z) = diamond();
-        let g = UndirectedGraph::from_netlist(&nl);
-        let g2 = g.without_edge(a, x);
-        assert!(!g2.neighbors(a).contains(&x));
-        assert!(!g2.neighbors(x).contains(&a));
-        // Original untouched.
-        assert!(g.neighbors(a).contains(&x));
+        let g = CsrGraph::from_netlist(&nl);
+        // The skip is undirected: either orientation hides the edge, from
+        // either endpoint.
+        for skip in [(a, x), (x, a)] {
+            assert_eq!(g.distance(a, x, 4, Some(skip)), Some(3));
+            assert_eq!(g.distance(x, a, 4, Some(skip)), Some(3));
+            assert_eq!(g.bfs_distances(x, 4, Some(skip))[a.index()], 3);
+        }
+        // The graph itself is untouched.
+        assert!(g.has_edge(a, x));
+        assert_eq!(g.distance(a, x, 4, None), Some(1));
     }
 
     #[test]
     fn filtered_graph_hides_nodes() {
-        let (nl, a, x, y, z) = diamond();
-        let g = UndirectedGraph::from_netlist_filtered(&nl, |id| id == x);
-        assert!(g.neighbors(a).contains(&y));
-        assert!(!g.neighbors(a).contains(&x));
-        assert!(g.neighbors(x).is_empty());
-        assert!(!g.neighbors(z).contains(&x));
+        let (nl, _a, x, _y, _z) = diamond();
+        let g = CsrGraph::from_netlist_filtered(&nl, |id| id == x);
+        let reference = reference_adjacency(&nl, |id| id == x);
+        for id in nl.ids() {
+            assert_eq!(g.neighbors(id), reference[id.index()].as_slice(), "{id}");
+        }
     }
 
     #[test]
     fn bfs_distances_respect_hop_limit() {
         let (nl, a, _x, _y, z) = diamond();
-        let g = UndirectedGraph::from_netlist(&nl);
-        let d = g.bfs_distances(a, 1);
-        assert_eq!(d[&a], 0);
-        assert!(!d.contains_key(&z)); // z is 2 hops away
-        let d2 = g.bfs_distances(a, 2);
-        assert_eq!(d2[&z], 2);
+        let g = CsrGraph::from_netlist(&nl);
+        let d = g.bfs_distances(a, 1, None);
+        assert_eq!(d[a.index()], 0);
+        assert_eq!(d[z.index()], UNREACHED); // z is 2 hops away
+        let d2 = g.bfs_distances(a, 2, None);
+        assert_eq!(d2[z.index()], 2);
+        assert_eq!(g.distance(a, z, 1, None), None);
+        assert_eq!(g.distance(a, z, 2, None), Some(2));
     }
 
     #[test]
     fn enclosing_subgraph_contains_endpoints_and_labels() {
         let (nl, a, x, y, z) = diamond();
-        let g = UndirectedGraph::from_netlist_without_edges(&nl, &[(x, z)]);
-        let sg = enclosing_subgraph(&g, x, z, 2);
+        let g = CsrGraph::from_netlist(&nl);
+        let sg = g.enclosing_subgraph(x, z, 2, true);
         assert!(sg.nodes.contains(&x));
         assert!(sg.nodes.contains(&z));
         assert!(sg.nodes.contains(&a));
@@ -572,18 +467,26 @@ mod tests {
     #[test]
     fn csr_graph_matches_vec_of_vec_adjacency() {
         let (nl, a, x, y, z) = diamond();
-        let g = UndirectedGraph::from_netlist(&nl);
+        let reference = reference_adjacency(&nl, |_| false);
         let c = CsrGraph::from_netlist(&nl);
-        assert_eq!(c.len(), g.len());
+        assert_eq!(c.len(), reference.len());
         assert_eq!(c.num_edges(), 4);
         for id in [a, x, y, z] {
-            assert_eq!(c.degree(id), g.degree(id), "{id}");
-            let mut expect = g.neighbors(id).to_vec();
-            expect.sort_unstable();
-            assert_eq!(c.neighbors(id), expect.as_slice(), "{id}");
+            assert_eq!(c.degree(id), reference[id.index()].len(), "{id}");
+            assert_eq!(c.neighbors(id), reference[id.index()].as_slice(), "{id}");
         }
-        assert_eq!(c.common_neighbors(x, y), g.common_neighbors(x, y));
-        assert!((c.jaccard(x, y) - g.jaccard(x, y)).abs() < 1e-12);
+        // Common neighbours and Jaccard of every pair, against a quadratic
+        // intersection of the reference lists.
+        for p in [a, x, y, z] {
+            for q in [a, x, y, z] {
+                let (np, nq) = (&reference[p.index()], &reference[q.index()]);
+                let common = np.iter().filter(|n| nq.contains(n)).count();
+                let union = np.len() + nq.len() - common;
+                assert_eq!(c.common_neighbors(p, q), common, "{p} {q}");
+                assert_eq!(c.jaccard(p, q), common as f64 / union as f64, "{p} {q}");
+            }
+        }
+        assert_eq!(c.jaccard(x, y), 1.0);
         assert!(c.has_edge(a, x));
         assert!(!c.has_edge(a, z));
     }
@@ -602,32 +505,28 @@ mod tests {
     fn csr_bfs_skip_edge_reroutes_distances() {
         let (nl, a, x, _y, z) = diamond();
         let c = CsrGraph::from_netlist(&nl);
-        let plain = c.bfs_distances(x, 4);
-        assert_eq!(plain[&z], 1);
+        let plain = c.bfs_distances(x, 4, None);
+        assert_eq!(plain[z.index()], 1);
         // With the x–z edge hidden, z is only reachable via a → y.
-        let skipped = c.bfs_distances_skip(x, 4, Some((z, x)));
-        assert_eq!(skipped[&z], 3);
-        assert_eq!(skipped[&a], 1);
+        let skipped = c.bfs_distances(x, 4, Some((z, x)));
+        assert_eq!(skipped[z.index()], 3);
+        assert_eq!(skipped[a.index()], 1);
+        assert_eq!(c.distance(x, z, 4, Some((z, x))), Some(3));
     }
 
     #[test]
     fn csr_enclosing_subgraph_matches_cloning_extraction() {
-        let (nl, _a, x, _y, z) = diamond();
-        // Old path: clone the graph without the candidate link, extract.
-        let cloned = UndirectedGraph::from_netlist_without_edges(&nl, &[(x, z)]);
-        let old = enclosing_subgraph(&cloned, x, z, 2);
-        // New path: no clone, drop_link threads the exclusion through.
+        // What extraction from a clone of the graph without the x–z edge
+        // yields, worked by hand: BFS from x reaches a (1) and y (2), BFS
+        // from z reaches y (1) and a (2); nodes are sorted by id.
+        let (nl, a, x, y, z) = diamond();
         let c = CsrGraph::from_netlist(&nl);
-        let new = c.enclosing_subgraph(x, z, 2, true);
-        assert_eq!(new.nodes, old.nodes);
-        assert_eq!(new.dist_u, old.dist_u);
-        assert_eq!(new.dist_v, old.dist_v);
-        assert_eq!(new.drnl, old.drnl);
-        let mut old_edges = old.edges.clone();
-        old_edges.sort_unstable();
-        let mut new_edges = new.edges.clone();
-        new_edges.sort_unstable();
-        assert_eq!(new_edges, old_edges);
+        let sg = c.enclosing_subgraph(x, z, 2, true);
+        assert_eq!(sg.nodes, vec![a, x, y, z]);
+        assert_eq!(sg.dist_u, vec![1, 0, 2, usize::MAX]);
+        assert_eq!(sg.dist_v, vec![2, usize::MAX, 1, 0]);
+        assert_eq!(sg.drnl, vec![drnl_label(1, 2), 1, drnl_label(2, 1), 1]);
+        assert_eq!(sg.edges, vec![(0, 1), (0, 2), (2, 3)]);
     }
 
     #[test]
