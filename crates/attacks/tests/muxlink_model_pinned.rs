@@ -4,10 +4,11 @@
 //! the attack learns. These tests pin an FNV-1a digest of the serialized
 //! [`TrainedLinkModel`] (weights, biases and Adam state) and of the raw bits
 //! of every candidate score for one seeded D-MUX lock, under both backends:
-//! the DGCNN (`gnn_fast`) and the bagged MLP (`fast`, whose forward pass runs
-//! through `Matrix::matvec`). The digests were captured before the DGCNN
-//! factored head gradient and the row-interleaved `matvec` landed, so a
-//! passing run proves those rewrites bit-identical.
+//! the DGCNN (`gnn_fast`) and the bagged MLP (`fast`, which trains through
+//! mini-batch matrix products and scores through `Matrix::matvec`). The
+//! digests were captured before the DGCNN factored head gradient, the
+//! row-interleaved `matvec` and the mini-batch MLP step landed, so a passing
+//! run proves those rewrites bit-identical.
 //!
 //! Each digest is checked serially and at the `AUTOLOCK_THREADS` count of
 //! the CI thread-matrix leg, so it also pins the thread-count contract.

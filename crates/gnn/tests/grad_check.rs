@@ -336,7 +336,11 @@ fn batched_head_gradient_matches_example_order_sum_bitwise() {
             for f in &factors {
                 let (u, d) = (&f.inputs()[layer], &f.deltas()[layer]);
                 let mut example_weights = Matrix::zeros(rows, cols);
-                example_weights.add_outer(1.0, u, d);
+                for (r, &ur) in u.iter().enumerate() {
+                    for (w, dc) in example_weights.row_mut(r).iter_mut().zip(d) {
+                        *w += ur * dc;
+                    }
+                }
                 weights.add_scaled(1.0, &example_weights);
                 let mut example_bias = vec![0.0; cols];
                 for (b, v) in example_bias.iter_mut().zip(d) {

@@ -78,13 +78,15 @@ impl MlpEnsemble {
             // Bagging: each member after the first trains on a bootstrap
             // resample, so the ensemble averages out data-sampling noise in
             // addition to initialization noise.
+            let resample;
             let train = if member == 0 {
-                data.clone()
+                data
             } else {
-                data.bootstrap_sample(&mut rng)
+                resample = data.bootstrap_sample(&mut rng);
+                &resample
             };
             let mut mlp = Mlp::new(mlp_config.clone(), &mut rng);
-            mlp.train(&train, &mut rng);
+            mlp.train(train, &mut rng);
             mlp
         };
         MlpEnsemble {

@@ -157,23 +157,6 @@ impl Matrix {
         out
     }
 
-    /// Adds `alpha * outer(u, v)` to the matrix (rank-1 update).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u.len() != rows` or `v.len() != cols`.
-    pub fn add_outer(&mut self, alpha: f64, u: &[f64], v: &[f64]) {
-        assert_eq!(u.len(), self.rows);
-        assert_eq!(v.len(), self.cols);
-        for (r, &ur_raw) in u.iter().enumerate() {
-            let row = self.row_mut(r);
-            let ur = alpha * ur_raw;
-            for (entry, vv) in row.iter_mut().zip(v) {
-                *entry += ur * vv;
-            }
-        }
-    }
-
     /// Frobenius norm.
     pub fn norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -358,16 +341,6 @@ mod tests {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(m.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
         assert_eq!(m.matvec_t(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
-    }
-
-    #[test]
-    fn outer_update() {
-        let mut m = Matrix::zeros(2, 2);
-        m.add_outer(2.0, &[1.0, 0.5], &[3.0, 4.0]);
-        assert_eq!(m.get(0, 0), 6.0);
-        assert_eq!(m.get(0, 1), 8.0);
-        assert_eq!(m.get(1, 0), 3.0);
-        assert_eq!(m.get(1, 1), 4.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::logistic::binary_cross_entropy;
 use crate::optim::{adam_step_flat, AdamParams};
-use crate::{sigmoid, Dataset, Matrix};
+use crate::{kernels, sigmoid, Dataset, Matrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -121,36 +121,23 @@ impl Mlp {
             self.config.input_dim,
             "feature dimension mismatch"
         );
-        let (activations, _) = self.forward(features);
-        sigmoid(activations.last().expect("output layer exists")[0])
-    }
-
-    /// Forward pass. Returns (pre-activations per layer, post-activations per
-    /// layer input); `post[0]` is the input itself.
-    #[allow(clippy::type_complexity)]
-    fn forward(&self, x: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let mut pre = Vec::with_capacity(self.layers.len());
-        let mut post = Vec::with_capacity(self.layers.len() + 1);
-        post.push(x.to_vec());
-        for (i, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(post.last().expect("non-empty"));
-            let a = if i + 1 == self.layers.len() {
-                z.clone() // output layer stays linear; sigmoid applied by caller
-            } else {
-                z.iter().map(|&v| v.max(0.0)).collect()
-            };
-            pre.push(z);
-            post.push(a);
+        let mut z = self.layers[0].forward(features);
+        for layer in &self.layers[1..] {
+            z.iter_mut().for_each(|v| *v = v.max(0.0));
+            z = layer.forward(&z);
         }
-        (pre, post)
+        // The output layer stays linear; its single logit goes through the
+        // sigmoid.
+        sigmoid(z[0])
     }
 
     /// Trains on the full dataset for `config.epochs` epochs. Returns the mean
     /// training loss of the final epoch.
     pub fn train<R: Rng + ?Sized>(&mut self, data: &Dataset, rng: &mut R) -> f64 {
+        let mut buffers = BatchBuffers::new(&self.layers, self.max_batch(data));
         let mut last = f64::INFINITY;
         for _ in 0..self.config.epochs {
-            last = self.train_epoch(data, rng);
+            last = self.train_epoch(data, rng, &mut buffers);
         }
         last
     }
@@ -163,12 +150,13 @@ impl Mlp {
         validation: &Dataset,
         rng: &mut R,
     ) -> (f64, usize) {
+        let mut buffers = BatchBuffers::new(&self.layers, self.max_batch(train));
         let mut best_loss = f64::INFINITY;
         let mut best_state: Option<Vec<Layer>> = None;
         let mut since_best = 0usize;
         let mut epochs_run = 0usize;
         for _ in 0..self.config.epochs {
-            self.train_epoch(train, rng);
+            self.train_epoch(train, rng, &mut buffers);
             epochs_run += 1;
             let val_loss = self.mean_loss(validation);
             if val_loss + 1e-9 < best_loss {
@@ -201,7 +189,17 @@ impl Mlp {
         total / data.len() as f64
     }
 
-    fn train_epoch<R: Rng + ?Sized>(&mut self, data: &Dataset, rng: &mut R) -> f64 {
+    /// Rows in the largest mini-batch an epoch over `data` forms.
+    fn max_batch(&self, data: &Dataset) -> usize {
+        self.config.batch_size.max(1).min(data.len())
+    }
+
+    fn train_epoch<R: Rng + ?Sized>(
+        &mut self,
+        data: &Dataset,
+        rng: &mut R,
+        buffers: &mut BatchBuffers,
+    ) -> f64 {
         assert_eq!(
             data.dim(),
             self.config.input_dim,
@@ -212,52 +210,89 @@ impl Mlp {
         indices.shuffle(rng);
         let mut epoch_loss = 0.0;
         for batch in indices.chunks(self.config.batch_size.max(1)) {
-            epoch_loss += self.train_batch(data, batch);
+            epoch_loss += self.train_batch(data, batch, buffers);
         }
         epoch_loss / n as f64
     }
 
-    fn train_batch(&mut self, data: &Dataset, batch: &[usize]) -> f64 {
-        // Accumulate gradients over the batch.
-        let mut grad_w: Vec<Matrix> = self
-            .layers
-            .iter()
-            .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()))
-            .collect();
-        let mut grad_b: Vec<Vec<f64>> = self
-            .layers
-            .iter()
-            .map(|l| vec![0.0; l.bias.len()])
-            .collect();
+    /// One Adam step on the mini-batch `batch`; returns its summed loss.
+    ///
+    /// Each layer runs one product per direction over the whole batch (rows
+    /// are examples): `Z = A·Wᵀ` forward, `∇W = Δᵀ·A` and `Δ_prev = Δ·W`
+    /// backward. Every entry keeps the accumulation chain of the
+    /// per-example `matvec` / outer-product / `matvec_t` loop, so training
+    /// is bit-identical to it (see the mlcore README).
+    fn train_batch(&mut self, data: &Dataset, batch: &[usize], buf: &mut BatchBuffers) -> f64 {
+        let b = batch.len();
+        let last = self.layers.len() - 1;
+        let input_dim = self.config.input_dim;
+        for (s, &i) in batch.iter().enumerate() {
+            buf.acts[0][s * input_dim..(s + 1) * input_dim].copy_from_slice(data.features_of(i));
+        }
+
+        // Forward: `acts[l + 1] = relu(acts[l]·Wᵀ + bias)`, the output layer
+        // linear.
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (inputs, outputs) = (layer.weights.cols(), layer.weights.rows());
+            let (below, above) = buf.acts.split_at_mut(l + 1);
+            let z = &mut above[0][..b * outputs];
+            kernels::matmul_nt(
+                b,
+                inputs,
+                outputs,
+                &below[l][..b * inputs],
+                layer.weights.data(),
+                z,
+            );
+            for row in z.chunks_exact_mut(outputs) {
+                for (zi, bias) in row.iter_mut().zip(&layer.bias) {
+                    *zi += bias;
+                    if l < last {
+                        *zi = zi.max(0.0);
+                    }
+                }
+            }
+        }
+
+        // Loss, and the output delta dL/dz_out = p - y, in example order.
         let mut batch_loss = 0.0;
-
-        for &i in batch {
-            let x = data.features_of(i);
+        let logits = &buf.acts[last + 1][..b];
+        for ((d, &z), &i) in buf.delta.iter_mut().zip(logits).zip(batch) {
+            let p = sigmoid(z);
             let y = data.label_of(i);
-            let (pre, post) = self.forward(x);
-            let out = pre.last().expect("output layer")[0];
-            let p = sigmoid(out);
             batch_loss += binary_cross_entropy(p, y);
+            *d = p - y;
+        }
 
-            // Backward pass.
-            // delta of output layer (dL/dz_out) = p - y
-            let mut delta = vec![p - y];
-            for layer_idx in (0..self.layers.len()).rev() {
-                let input = &post[layer_idx];
-                grad_w[layer_idx].add_outer(1.0, &delta, input);
-                for (g, d) in grad_b[layer_idx].iter_mut().zip(&delta) {
+        // Backward: gradients start from +0.0 and sum over the batch in
+        // example order.
+        for l in (0..=last).rev() {
+            let layer = &self.layers[l];
+            let (inputs, outputs) = (layer.weights.cols(), layer.weights.rows());
+            let delta = &buf.delta[..b * outputs];
+            let input = &buf.acts[l][..b * inputs];
+            let grad_w = &mut buf.grad_w[l];
+            grad_w.fill(0.0);
+            kernels::matmul_tn(b, outputs, inputs, delta, input, grad_w);
+            let grad_b = &mut buf.grad_b[l];
+            grad_b.fill(0.0);
+            for row in delta.chunks_exact(outputs) {
+                for (g, d) in grad_b.iter_mut().zip(row) {
                     *g += d;
                 }
-                if layer_idx > 0 {
-                    // Propagate: delta_prev = W^T delta ⊙ relu'(pre_prev)
-                    let back = self.layers[layer_idx].weights.matvec_t(&delta);
-                    let prev_pre = &pre[layer_idx - 1];
-                    delta = back
-                        .iter()
-                        .zip(prev_pre)
-                        .map(|(&b, &z)| if z > 0.0 { b } else { 0.0 })
-                        .collect();
+            }
+            if l > 0 {
+                // delta_prev = delta·W ⊙ relu'(z_prev). The layer below's
+                // output is max(z_prev, 0), positive exactly where z_prev is.
+                let back = &mut buf.next_delta[..b * inputs];
+                back.fill(0.0);
+                kernels::matmul_nn(b, outputs, inputs, delta, layer.weights.data(), back);
+                for (d, &a) in back.iter_mut().zip(input) {
+                    if a <= 0.0 {
+                        *d = 0.0;
+                    }
                 }
+                std::mem::swap(&mut buf.delta, &mut buf.next_delta);
             }
         }
 
@@ -273,14 +308,18 @@ impl Mlp {
             l2: 0.0,
             ..weight_hp
         };
-        let scale = 1.0 / batch.len() as f64;
-        for (layer, (mut gw, mut gb)) in self.layers.iter_mut().zip(grad_w.into_iter().zip(grad_b))
+        let scale = 1.0 / b as f64;
+        for ((layer, gw), gb) in self
+            .layers
+            .iter_mut()
+            .zip(&mut buf.grad_w)
+            .zip(&mut buf.grad_b)
         {
-            gw.data_mut().iter_mut().for_each(|g| *g *= scale);
+            gw.iter_mut().for_each(|g| *g *= scale);
             gb.iter_mut().for_each(|g| *g *= scale);
             adam_step_flat(
                 layer.weights.data_mut(),
-                gw.data(),
+                gw,
                 layer.m_w.data_mut(),
                 layer.v_w.data_mut(),
                 self.adam_t,
@@ -288,7 +327,7 @@ impl Mlp {
             );
             adam_step_flat(
                 &mut layer.bias,
-                &gb,
+                gb,
                 &mut layer.m_b,
                 &mut layer.v_b,
                 self.adam_t,
@@ -296,6 +335,40 @@ impl Mlp {
             );
         }
         batch_loss
+    }
+}
+
+/// Scratch for [`Mlp::train_batch`], allocated once per training call for
+/// the largest batch; a smaller (ragged last) batch uses a prefix of each
+/// buffer. Every buffer is row-major with one row per example.
+struct BatchBuffers {
+    /// `acts[l]` is the input to layer `l` (`acts[0]` the gathered batch);
+    /// the last entry holds the output logits.
+    acts: Vec<Vec<f64>>,
+    /// dL/dz of the layer being back-propagated.
+    delta: Vec<f64>,
+    /// dL/dz of the layer below; swapped with `delta` after each layer.
+    next_delta: Vec<f64>,
+    grad_w: Vec<Vec<f64>>,
+    grad_b: Vec<Vec<f64>>,
+}
+
+impl BatchBuffers {
+    fn new(layers: &[Layer], max_batch: usize) -> Self {
+        let input_dim = layers[0].weights.cols();
+        let widths = std::iter::once(input_dim).chain(layers.iter().map(|l| l.weights.rows()));
+        let acts: Vec<Vec<f64>> = widths.map(|w| vec![0.0; max_batch * w]).collect();
+        let widest = acts.iter().map(Vec::len).max().unwrap_or(0);
+        BatchBuffers {
+            acts,
+            delta: vec![0.0; widest],
+            next_delta: vec![0.0; widest],
+            grad_w: layers
+                .iter()
+                .map(|l| vec![0.0; l.weights.data().len()])
+                .collect(),
+            grad_b: layers.iter().map(|l| vec![0.0; l.bias.len()]).collect(),
+        }
     }
 }
 

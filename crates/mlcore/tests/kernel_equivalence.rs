@@ -171,3 +171,71 @@ fn matvec_rows_of_negative_zeros_sum_to_positive_zero() {
         }
     }
 }
+
+/// The per-example chains the mini-batch MLP step must reproduce, checked
+/// against one batch: `a` is `b × inputs` (one example per row), `w` is the
+/// `outputs × inputs` weight matrix and `delta` is `b × outputs`.
+fn assert_batched_products_match_per_example_chains(a: &Matrix, w: &Matrix, delta: &Matrix) {
+    // Forward: row `r` of `A·Wᵀ` is the `matvec` of example `r`.
+    let z = a.matmul_nt(w);
+    for r in 0..a.rows() {
+        for (c, (g, e)) in z.row(r).iter().zip(w.matvec(a.row(r))).enumerate() {
+            assert_eq!(g.to_bits(), e.to_bits(), "forward ({r}, {c})");
+        }
+    }
+
+    // Weight gradient: `Δᵀ·A` is the running sum of the examples' outer
+    // products `1.0·δ ⊗ a`, from zeros in example order.
+    let grad = delta.matmul_tn(a);
+    let mut reference = Matrix::zeros(w.rows(), w.cols());
+    for s in 0..a.rows() {
+        for (r, &d) in delta.row(s).iter().enumerate() {
+            let d = 1.0 * d;
+            for (entry, x) in reference.row_mut(r).iter_mut().zip(a.row(s)) {
+                *entry += d * x;
+            }
+        }
+    }
+    assert_bits_eq(&grad, &reference);
+
+    // Back-propagated delta: row `s` of `Δ·W` is the `matvec_t` of
+    // example `s`.
+    let back = delta.matmul(w);
+    for s in 0..delta.rows() {
+        for (c, (g, e)) in back.row(s).iter().zip(w.matvec_t(delta.row(s))).enumerate() {
+            assert_eq!(g.to_bits(), e.to_bits(), "backward ({s}, {c})");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each batched product equals the per-example loop it replaced in the
+    /// MLP step, bit for bit, on operands riddled with signed zeros and
+    /// subnormals, over batch sizes and widths that straddle the `MR`/`NR`
+    /// register tiles.
+    fn batched_mlp_products_match_per_example_chains(
+        batch in 0usize..40,
+        inputs in 1usize..20,
+        outputs in 1usize..20,
+        seed in proptest::any::<u64>(),
+    ) {
+        let a = edge_case_matrix(batch, inputs, seed);
+        let w = edge_case_matrix(outputs, inputs, seed ^ 0x6a09_e667_f3bc_c908);
+        let delta = edge_case_matrix(batch, outputs, seed ^ 0xbb67_ae85_84ca_a73b);
+        assert_batched_products_match_per_example_chains(&a, &w, &delta);
+    }
+}
+
+/// A batch deeper than one `KC` panel: the weight gradient's example chain
+/// then spans two k panels of the blocked kernel and must still run in
+/// example order.
+#[test]
+fn batched_mlp_products_match_per_example_chains_across_panels() {
+    let batch = kernels::KC + 9;
+    let a = edge_case_matrix(batch, 2 * kernels::NR + 3, 11);
+    let w = edge_case_matrix(13, 2 * kernels::NR + 3, 12);
+    let delta = edge_case_matrix(batch, 13, 13);
+    assert_batched_products_match_per_example_chains(&a, &w, &delta);
+}
