@@ -54,8 +54,10 @@ struct Inner {
     stats: CacheStats,
 }
 
-/// Bounded, thread-safe LRU cache of enclosing subgraphs. See the [module
-/// documentation](self).
+/// Bounded, thread-safe LRU cache of enclosing subgraphs, keyed by
+/// `(driver, sink, hops, drop_link)` and reset whenever the netlist
+/// fingerprint it is queried with changes. Caching never changes a result:
+/// extraction is deterministic.
 #[derive(Debug, Default)]
 pub struct SubgraphCache {
     inner: Mutex<Inner>,

@@ -7,69 +7,11 @@
 //! to an MLP. The discriminative signal is the same: what the logic
 //! *surrounding* a candidate connection looks like.
 
-use autolock_netlist::graph::{CsrGraph, EnclosingSubgraph};
-use autolock_netlist::{GateId, GateKind, Netlist};
+use crate::view::LinkView;
+use autolock_netlist::graph::EnclosingSubgraph;
+use autolock_netlist::{GateId, GateKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
-
-/// Longest-path logic levels of a netlist's visible part, with their
-/// maximum taken once per netlist rather than once per link.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VisibleLevels {
-    levels: Vec<usize>,
-    /// The largest level, floored at 1: the normaliser of the level
-    /// features.
-    max: usize,
-}
-
-impl VisibleLevels {
-    /// Level of gate `id` (0 for a gate outside the netlist).
-    pub fn of(&self, id: GateId) -> usize {
-        self.levels.get(id.index()).copied().unwrap_or(0)
-    }
-
-    /// The largest level, floored at 1.
-    pub fn max(&self) -> usize {
-        self.max
-    }
-}
-
-/// Longest-path logic levels of the *visible* part of a locked netlist: edges
-/// incident to `hidden` gates are ignored. Hidden gates keep level 0.
-///
-/// True drivers sit at a lower level than their sinks, which makes the level
-/// difference a strong link-prediction feature; the extractor consumes the
-/// result of this function.
-pub fn visible_levels(netlist: &Netlist, hidden: &HashSet<GateId>) -> VisibleLevels {
-    // Kahn-style longest path over the visible sub-DAG.
-    let mut indeg = vec![0usize; netlist.len()];
-    for (id, gate) in netlist.iter() {
-        if hidden.contains(&id) {
-            continue;
-        }
-        indeg[id.index()] = gate.fanin.iter().filter(|f| !hidden.contains(f)).count();
-    }
-    let mut levels = vec![0usize; netlist.len()];
-    let mut queue: std::collections::VecDeque<GateId> = netlist
-        .ids()
-        .filter(|id| !hidden.contains(id) && indeg[id.index()] == 0)
-        .collect();
-    let fanouts = netlist.fanouts();
-    while let Some(id) = queue.pop_front() {
-        for &sink in &fanouts[id.index()] {
-            if hidden.contains(&sink) {
-                continue;
-            }
-            levels[sink.index()] = levels[sink.index()].max(levels[id.index()] + 1);
-            indeg[sink.index()] -= 1;
-            if indeg[sink.index()] == 0 {
-                queue.push_back(sink);
-            }
-        }
-    }
-    let max = levels.iter().copied().max().unwrap_or(1).max(1);
-    VisibleLevels { levels, max }
-}
+use std::borrow::Borrow;
 
 /// Which features the extractor emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,64 +77,52 @@ impl LinkFeatureExtractor {
         }
     }
 
-    /// Extracts the feature vector of the candidate link `(driver, sink)`.
+    /// Extracts the feature vector of the candidate link `(driver, sink)`
+    /// as the attacker sees it in `view`.
     ///
     /// With `drop_link` the candidate link itself is treated as absent from
-    /// `graph` (positive training examples hide the known link before
-    /// looking at its neighbourhood) — the exclusion is threaded through
-    /// every feature instead of cloning the graph, so large-circuit attacks
-    /// stay memory-lean. `levels` is the per-gate logic level of the
-    /// visible netlist (see [`visible_levels`]); `netlist` is only used for
-    /// gate kinds and fan-in counts.
+    /// the view's graph (positive training examples hide the known link
+    /// before looking at its neighbourhood) — the exclusion is threaded
+    /// through every feature instead of cloning the graph, so large-circuit
+    /// attacks stay memory-lean.
     pub fn extract(
         &self,
-        netlist: &Netlist,
-        graph: &CsrGraph,
-        levels: &VisibleLevels,
+        view: &LinkView,
         driver: GateId,
         sink: GateId,
         drop_link: bool,
     ) -> Vec<f64> {
-        if self.config.mode == FeatureMode::LocalityOnly {
-            // The locality ablation never looks at the neighbourhood; skip
-            // the extraction entirely.
-            return self.endpoint_one_hots(netlist, driver, sink);
-        }
-        let sg = graph.enclosing_subgraph(driver, sink, self.config.hops, drop_link);
-        self.extract_with_subgraph(netlist, graph, levels, driver, sink, drop_link, &sg)
+        self.extract_with_subgraph(view, driver, sink, drop_link, || {
+            view.graph
+                .enclosing_subgraph(driver, sink, self.config.hops, drop_link)
+        })
     }
 
-    /// Gate-kind one-hots of the two endpoints (the features every mode
-    /// starts from).
-    fn endpoint_one_hots(&self, netlist: &Netlist, driver: GateId, sink: GateId) -> Vec<f64> {
+    /// [`LinkFeatureExtractor::extract`] with the enclosing subgraph of the
+    /// same `(driver, sink, drop_link)` query supplied by `subgraph` (e.g.
+    /// from a cache). `subgraph` is called only when the mode reads the
+    /// neighbourhood: the locality ablation never does.
+    pub fn extract_with_subgraph<S: Borrow<EnclosingSubgraph>>(
+        &self,
+        view: &LinkView,
+        driver: GateId,
+        sink: GateId,
+        drop_link: bool,
+        subgraph: impl FnOnce() -> S,
+    ) -> Vec<f64> {
+        let netlist = view.netlist;
         let mut features = Vec::with_capacity(self.dim());
         for id in [driver, sink] {
             let mut v = vec![0.0; GateKind::NUM_CODES];
             v[netlist.gate(id).kind.code()] = 1.0;
             features.extend(v);
         }
-        features
-    }
-
-    /// [`LinkFeatureExtractor::extract`] with a pre-extracted (possibly
-    /// cached) enclosing subgraph of the same `(driver, sink, drop_link)`
-    /// query.
-    #[allow(clippy::too_many_arguments)]
-    pub fn extract_with_subgraph(
-        &self,
-        netlist: &Netlist,
-        graph: &CsrGraph,
-        levels: &VisibleLevels,
-        driver: GateId,
-        sink: GateId,
-        drop_link: bool,
-        sg: &EnclosingSubgraph,
-    ) -> Vec<f64> {
-        let mut features = self.endpoint_one_hots(netlist, driver, sink);
         if self.config.mode == FeatureMode::LocalityOnly {
-            debug_assert_eq!(features.len(), self.dim());
             return features;
         }
+        let sg = subgraph();
+        let sg = sg.borrow();
+        let (graph, levels) = (&view.graph, &view.levels);
 
         // Endpoint structure. With `drop_link`, the candidate edge (if it
         // exists) is subtracted from both endpoint degrees — numerically
@@ -297,20 +227,20 @@ impl LinkFeatureExtractor {
 mod tests {
     use super::*;
     use autolock_circuits::c17;
+    use autolock_netlist::Netlist;
 
-    fn no_hidden(nl: &Netlist) -> VisibleLevels {
-        visible_levels(nl, &HashSet::new())
+    fn no_hidden(nl: &Netlist) -> LinkView<'_> {
+        LinkView::hiding(nl, &[])
     }
 
     #[test]
     fn full_features_have_declared_dimension() {
         let nl = c17();
-        let graph = CsrGraph::from_netlist(&nl);
-        let levels = no_hidden(&nl);
+        let view = no_hidden(&nl);
         let ex = LinkFeatureExtractor::new(LinkFeatureConfig::default());
         let u = nl.find("G10gat").unwrap();
         let v = nl.find("G22gat").unwrap();
-        let f = ex.extract(&nl, &graph, &levels, u, v, false);
+        let f = ex.extract(&view, u, v, false);
         assert_eq!(f.len(), ex.dim());
         assert!(f.iter().all(|x| x.is_finite()));
     }
@@ -318,15 +248,14 @@ mod tests {
     #[test]
     fn locality_only_features_are_pure_type_one_hots() {
         let nl = c17();
-        let graph = CsrGraph::from_netlist(&nl);
-        let levels = no_hidden(&nl);
+        let view = no_hidden(&nl);
         let ex = LinkFeatureExtractor::new(LinkFeatureConfig {
             mode: FeatureMode::LocalityOnly,
             ..Default::default()
         });
         let u = nl.find("G1gat").unwrap();
         let v = nl.find("G10gat").unwrap();
-        let f = ex.extract(&nl, &graph, &levels, u, v, false);
+        let f = ex.extract(&view, u, v, false);
         assert_eq!(f.len(), 2 * GateKind::NUM_CODES);
         // Exactly two ones (one per endpoint one-hot).
         assert_eq!(f.iter().filter(|&&x| x == 1.0).count(), 2);
@@ -339,12 +268,11 @@ mod tests {
         let u = nl.find("G10gat").unwrap();
         let v = nl.find("G22gat").unwrap();
         let far = nl.find("G6gat").unwrap();
-        let graph = CsrGraph::from_netlist(&nl);
-        let levels = no_hidden(&nl);
+        let view = no_hidden(&nl);
         let ex = LinkFeatureExtractor::new(LinkFeatureConfig::default());
         // Hide the true link before extraction (as the attack does).
-        let f_true = ex.extract(&nl, &graph, &levels, u, v, true);
-        let f_false = ex.extract(&nl, &graph, &levels, far, v, false);
+        let f_true = ex.extract(&view, u, v, true);
+        let f_false = ex.extract(&view, far, v, false);
         assert_ne!(f_true, f_false);
     }
 
@@ -356,10 +284,9 @@ mod tests {
         let nl = c17();
         let u = nl.find("G16gat").unwrap();
         let v = nl.find("G23gat").unwrap();
-        let graph = CsrGraph::from_netlist(&nl);
-        let levels = no_hidden(&nl);
+        let view = no_hidden(&nl);
         let ex = LinkFeatureExtractor::new(LinkFeatureConfig::default());
-        let dropped = ex.extract(&nl, &graph, &levels, u, v, true);
+        let dropped = ex.extract(&view, u, v, true);
         // Reference: the endpoint degrees with the G16→G23 wire removed,
         // counted straight from the fan-in lists.
         let fanouts = nl.fanouts();
@@ -389,7 +316,7 @@ mod tests {
         // The distance feature routes around the hidden wire: it equals a
         // one-sided BFS that never walks it.
         let dist_at = 2 * GateKind::NUM_CODES + 6 + 2;
-        let rerouted = graph.bfs_distances(u, 8, Some((u, v)))[v.index()];
+        let rerouted = view.graph.bfs_distances(u, 8, Some((u, v)))[v.index()];
         assert_eq!(dropped[dist_at], f64::from(rerouted));
         assert!(dropped[dist_at] > 1.0);
     }
@@ -407,10 +334,9 @@ mod tests {
             .unwrap();
         nl.mark_output(x);
         nl.mark_output(y);
-        let graph = CsrGraph::from_netlist(&nl);
-        let levels = no_hidden(&nl);
+        let view = no_hidden(&nl);
         let ex = LinkFeatureExtractor::new(LinkFeatureConfig::default());
-        let f = ex.extract(&nl, &graph, &levels, a, y, false);
+        let f = ex.extract(&view, a, y, false);
         assert!(f.iter().all(|v| v.is_finite()));
     }
 
@@ -419,14 +345,13 @@ mod tests {
         let nl = c17();
         let g10 = nl.find("G10gat").unwrap();
         let g22 = nl.find("G22gat").unwrap();
-        let all = no_hidden(&nl);
+        let all = no_hidden(&nl).levels;
         assert_eq!(all.of(nl.find("G1gat").unwrap()), 0);
         assert_eq!(all.of(g10), 1);
         assert_eq!(all.of(g22), 3);
         assert_eq!(all.max(), 3);
         // Hiding G16 shortens G22's visible level (only the G10 path remains).
-        let hidden: HashSet<_> = [nl.find("G16gat").unwrap()].into_iter().collect();
-        let partial = visible_levels(&nl, &hidden);
+        let partial = LinkView::hiding(&nl, &[nl.find("G16gat").unwrap()]).levels;
         assert_eq!(partial.of(g22), 2);
     }
 }

@@ -10,6 +10,9 @@
 //!   [`autolock_gnn`] operating on raw enclosing subgraphs. This is the
 //!   attack AutoLock's genetic algorithm uses as its fitness oracle (either
 //!   backend can serve as the adversary).
+//!   [`LinkView`] is the one place that decides what MuxLink sees of a
+//!   locked netlist (key inputs and key-controlled MUXes hidden); each
+//!   attack builds it once and shares it between training and scoring.
 //! * [`SatAttack`] — the classic oracle-guided SAT attack (Subramanyan et
 //!   al.), built on the [`autolock_satsolver`] CDCL solver. Used by the
 //!   multi-objective experiments (E5, E8).
@@ -30,19 +33,19 @@ mod features;
 mod muxlink;
 mod report;
 mod sat;
+mod view;
 
 pub use autolock_gnn::SortPoolK;
 pub use baselines::{has_mux_key_gates, RandomGuessAttack, XorStructuralAttack};
 pub use cache::{netlist_fingerprint, CacheStats, SubgraphCache};
-pub use features::{
-    visible_levels, FeatureMode, LinkFeatureConfig, LinkFeatureExtractor, VisibleLevels,
-};
+pub use features::{FeatureMode, LinkFeatureConfig, LinkFeatureExtractor};
 pub use muxlink::{MuxCandidate, MuxLinkAttack, MuxLinkBackend, MuxLinkConfig, TrainedLinkModel};
 pub use report::{AttackOutcome, KeyGuess};
 pub use sat::{
     ResumableSatAttack, SatAttack, SatAttackCheckpoint, SatAttackConfig, SatAttackOutcome,
     SatAttackState,
 };
+pub use view::LinkView;
 
 use autolock_locking::LockedNetlist;
 use rand::RngCore;

@@ -5,10 +5,12 @@
 //! [`TrainedLinkModel`] (weights, biases and Adam state) and of the raw bits
 //! of every candidate score for one seeded D-MUX lock, under both backends:
 //! the DGCNN (`gnn_fast`) and the bagged MLP (`fast`, which trains through
-//! mini-batch matrix products and scores through `Matrix::matvec`). The
-//! digests were captured before the DGCNN factored head gradient, the
-//! row-interleaved `matvec` and the mini-batch MLP step landed, so a passing
-//! run proves those rewrites bit-identical.
+//! mini-batch matrix products and scores through `Matrix::matvec`), plus the
+//! MLP's gate-type-only ablation (`locality_only`). The first two digests
+//! were captured before the DGCNN factored head gradient, the
+//! row-interleaved `matvec` and the mini-batch MLP step landed, and all
+//! three before the attack built one shared `LinkView`, so a passing run
+//! proves those rewrites bit-identical.
 //!
 //! Each digest is checked serially and at the `AUTOLOCK_THREADS` count of
 //! the CI thread-matrix leg, so it also pins the thread-count contract.
@@ -111,4 +113,13 @@ fn mlp_model_and_scores_match_golden_digests() {
         ..MuxLinkConfig::fast()
     };
     assert_pinned(config, (0xf8f8_ab06_bddf_b413, 0x6555_1f4b_8a05_06df));
+}
+
+#[test]
+fn locality_only_model_and_scores_match_golden_digests() {
+    let config = MuxLinkConfig {
+        epochs: 10,
+        ..MuxLinkConfig::locality_only()
+    };
+    assert_pinned(config, (0x5f8b_5935_c691_8573, 0xd8f4_dd2b_969e_e080));
 }

@@ -59,7 +59,9 @@ impl FitnessCache {
             &seed.to_string(),
             &repeats.to_string(),
         ]);
-        fnv1a(fp.as_bytes())
+        // Fold the hex fingerprint into the compact `u64` key the hot-path
+        // `HashMap` uses.
+        autolock_obs::manifest::fnv1a(fp.as_bytes())
     }
 
     /// Looks up a genotype's fitness under a context, counting the hit or
@@ -106,17 +108,6 @@ impl FitnessCache {
     pub fn is_empty(&self) -> bool {
         self.entries.lock().is_empty()
     }
-}
-
-/// FNV-1a over a byte string — folds the hex fingerprint into the compact
-/// `u64` key the hot-path `HashMap` uses.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

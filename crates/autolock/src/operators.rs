@@ -3,7 +3,7 @@
 //! The paper's research plan highlights operator design as a key question;
 //! this module therefore provides several interchangeable crossover and
 //! mutation operators, all of which route their children through
-//! [`repair_genotype`](crate::repair_genotype) so every offspring is a valid
+//! [`repair_genotype`] so every offspring is a valid
 //! locking of the original netlist. Experiment E7 sweeps these operators.
 
 use crate::genotype::{repair_genotype, LockingGenotype};

@@ -2,20 +2,18 @@
 //! netlist parsing/simulation, SAT solving, enclosing-subgraph feature
 //! extraction and one GA generation step.
 
-use autolock_attacks::{visible_levels, LinkFeatureConfig, LinkFeatureExtractor, MuxLinkAttack};
+use autolock_attacks::{LinkFeatureConfig, LinkFeatureExtractor, LinkView};
 use autolock_circuits::{suite_circuit, synth_circuit};
 use autolock_evo::{
     CrossoverOperator, FitnessFunction, GaConfig, GeneticAlgorithm, MutationOperator,
 };
 use autolock_locking::{DMuxLocking, LockingScheme};
-use autolock_netlist::graph::CsrGraph;
 use autolock_netlist::ingest::{parse_auto, IngestOptions};
 use autolock_netlist::{sim, topo, write_bench};
 use autolock_satsolver::{CircuitEncoder, Lit, Solver};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashSet;
 use std::hint::black_box;
 
 /// B1 — netlist substrate: `.bench` parsing, writing and 64-pattern
@@ -99,18 +97,13 @@ fn bench_feature_extraction(c: &mut Criterion) {
     let locked = DMuxLocking::default()
         .lock(&original, 32, &mut rng)
         .unwrap();
-    let netlist = locked.netlist();
-    let hidden: HashSet<_> = MuxLinkAttack::hidden_gates(netlist);
-    let graph = CsrGraph::from_netlist_filtered(netlist, |id| hidden.contains(&id));
-    let levels = visible_levels(netlist, &hidden);
+    let view = LinkView::new(locked.netlist()).expect("a D-MUX lock has candidates");
     let extractor = LinkFeatureExtractor::new(LinkFeatureConfig::default());
-    let candidates = MuxLinkAttack::find_candidates(netlist);
     c.bench_function("B3_extract_features_64_candidates", |b| {
         b.iter(|| {
             let mut acc = 0.0;
-            for cand in &candidates {
-                let f =
-                    extractor.extract(netlist, &graph, &levels, cand.cand_key0, cand.sink, false);
+            for cand in view.candidates() {
+                let f = extractor.extract(&view, cand.cand_key0, cand.sink, false);
                 acc += f.iter().sum::<f64>();
             }
             black_box(acc)

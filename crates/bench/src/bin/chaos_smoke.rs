@@ -94,7 +94,7 @@ fn demo_jobs(circuits: &Path) -> std::io::Result<Vec<JobSpec>> {
 /// conflict so SAT checkpoints always exist for the corruption to target.
 fn engine_config(dir: &Path, faults: Arc<FaultPlan>) -> EngineConfig {
     let mut config = EngineConfig::rooted(dir, 2);
-    config.sat_step_conflicts = Some(1);
+    config.sat_step_conflicts = 1;
     config.faults = faults;
     config
 }

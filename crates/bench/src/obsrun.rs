@@ -19,7 +19,7 @@ use autolock_obs::manifest::{fingerprint, write_events_jsonl, RunManifest};
 use std::time::Instant;
 
 /// RAII scope that records one experiment run and emits manifest + spans
-/// JSONL on drop. See the [module docs](self).
+/// JSONL under `<results>/obs/` on drop (`AUTOLOCK_OBS=0` skips it).
 pub struct ObsRun {
     experiment: String,
     seed: u64,

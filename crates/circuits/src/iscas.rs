@@ -270,7 +270,7 @@ b2gat = or(b2agat, b2bgat)
 421gat = and(g8gat, anygat)
 ";
 
-/// Returns the c432 `.bench` source text (see [`C432_BENCH`]).
+/// Returns the c432 `.bench` source text.
 pub fn c432_bench_text() -> &'static str {
     C432_BENCH
 }

@@ -6,9 +6,9 @@
 //!
 //! * the real **c17** ISCAS-85 circuit (tiny, public, reproduced exactly),
 //! * a documented **c432 reconstruction** from its published high-level
-//!   model, embedded as `.bench` text (see [`iscas`]),
+//!   model, embedded as `.bench` text (see [`c432_bench_text`]),
 //! * a deterministic **random ISCAS-like generator** ([`generator`]) whose
-//!   [`suite`] members (`s160`, `s380`, ... "synthetic-<gate count>") match
+//!   [`suite`] members (`s160`, `s380`, ... `"synthetic-<gate count>"`) match
 //!   classic interfaces and gate counts, and
 //! * **structured datapath generators** ([`structured`]): adder trees,
 //!   carry-select adders, array multipliers and mux/decode control blocks

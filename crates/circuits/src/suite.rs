@@ -4,7 +4,7 @@
 //! c3540, c5315, c6288 and c7552 — in three tiers:
 //!
 //! * **real circuits**: c17 and the c432 reconstruction, embedded as
-//!   `.bench` text ([`crate::iscas`]);
+//!   `.bench` text ([`crate::c17`], [`crate::c432_bench_text`]);
 //! * **random synthetic stand-ins** (`s<gates>`): netlists from the
 //!   locality-biased random generator ([`crate::generator`]) whose interface
 //!   and gate counts match a classic benchmark — kept for continuity with

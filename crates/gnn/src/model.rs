@@ -7,7 +7,7 @@ use crate::stream::{GraphSource, SliceSource, SourceTensor};
 use crate::{LinkPredictor, SubgraphTensor};
 use autolock_mlcore::optim::AdamParams;
 use autolock_mlcore::parallel::pooled_map;
-use autolock_mlcore::{sigmoid, Matrix};
+use autolock_mlcore::{binary_cross_entropy, sigmoid, Matrix};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -433,9 +433,4 @@ impl LinkPredictor for Dgcnn {
         autolock_obs::counter("gnn.scored_links").add(graphs.len() as u64);
         pooled_map(self.config.num_threads, graphs, |g| sigmoid(self.logit(g)))
     }
-}
-
-fn binary_cross_entropy(p: f64, y: f64) -> f64 {
-    let p = p.clamp(1e-12, 1.0 - 1e-12);
-    -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
 }

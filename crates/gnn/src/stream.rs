@@ -42,8 +42,11 @@ impl Deref for SourceTensor<'_> {
     }
 }
 
-/// A labelled training set served one example at a time. See the [module
-/// documentation](self) for the purity contract.
+/// A labelled training set served one example at a time.
+///
+/// Sources must be **pure**: `tensor(i)` returns the same tensor values on
+/// every call, which is what keeps streamed training bit-identical to
+/// training on a materialized set.
 pub trait GraphSource: Sync {
     /// Number of examples.
     fn len(&self) -> usize;

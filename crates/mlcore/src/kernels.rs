@@ -1,7 +1,7 @@
 //! Cache-blocked, register-tiled dense matmul kernels.
 //!
 //! Every learned model in this workspace (the bagged-MLP MuxLink backend,
-//! the DGCNN conv/dense layers, the logistic probe) funnels through the
+//! the DGCNN conv/dense layers) funnels through the
 //! three `Matrix::matmul*` products, so this module is the shared hot core.
 //! It implements the classic GEBP decomposition: the B operand is packed
 //! into contiguous panels, the output is swept in m/n tiles, and an
@@ -244,7 +244,7 @@ fn accumulate_row(a_row: &[f64], panel: &[f64], kn: usize, jn: usize, out_row: &
 /// Like [`matmul_nn`], `out` must be zeroed on entry for a plain product
 /// ([`crate::Matrix::matmul_tn`] always passes fresh zeros).
 ///
-/// Reuses the [`gebp`] driver with a strided accessor: the transpose never
+/// Reuses the `gebp` driver with a strided accessor: the transpose never
 /// materializes — the A-block packing step gathers the needed column
 /// entries directly. Per-element accumulation runs in shared-k order either
 /// way, so the result is bit-identical to the naive implicit-transpose loop.

@@ -9,11 +9,12 @@
 //!   operations the learners need,
 //! * [`Dataset`] — feature matrix + binary labels, with train/validation
 //!   splitting and feature standardization,
-//! * [`LogisticRegression`] — linear baseline classifier,
 //! * [`Mlp`] — multi-layer perceptron (ReLU hidden layers, sigmoid output)
 //!   trained with mini-batch Adam,
 //! * [`MlpEnsemble`] — bagged MLP ensemble, trained and scored in parallel
 //!   with bit-for-bit thread-count determinism (see `README.md`),
+//! * [`binary_cross_entropy`] — the one training loss, shared with the
+//!   DGCNN in `autolock_gnn`,
 //! * [`kernels`] — cache-blocked, register-tiled dense matmul kernels behind
 //!   [`Matrix::matmul`] and friends, bit-identical to the naive loops,
 //! * [`metrics`] — binary-classification metrics (accuracy, precision,
@@ -50,7 +51,7 @@ pub mod scratch;
 
 pub use dataset::Dataset;
 pub use ensemble::{MlpEnsemble, MlpEnsembleConfig};
-pub use logistic::{LogisticConfig, LogisticRegression};
+pub use logistic::binary_cross_entropy;
 pub use matrix::Matrix;
 pub use mlp::{Mlp, MlpConfig};
 pub use optim::{AdamParams, AdamState, AdamVecState};

@@ -1,128 +1,8 @@
-//! Logistic-regression classifier.
-
-use crate::{sigmoid, Dataset};
-use rand::seq::SliceRandom;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-/// Hyper-parameters of [`LogisticRegression`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogisticConfig {
-    /// Number of input features.
-    pub input_dim: usize,
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// L2 regularization strength.
-    pub l2: f64,
-    /// Number of passes over the training data.
-    pub epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-}
-
-impl Default for LogisticConfig {
-    fn default() -> Self {
-        LogisticConfig {
-            input_dim: 1,
-            learning_rate: 0.05,
-            l2: 1e-4,
-            epochs: 80,
-            batch_size: 32,
-        }
-    }
-}
-
-/// Binary logistic-regression model trained with mini-batch SGD.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogisticRegression {
-    config: LogisticConfig,
-    weights: Vec<f64>,
-    bias: f64,
-}
-
-impl LogisticRegression {
-    /// Creates an untrained model with zero weights.
-    pub fn new(config: LogisticConfig) -> Self {
-        let weights = vec![0.0; config.input_dim];
-        LogisticRegression {
-            config,
-            weights,
-            bias: 0.0,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &LogisticConfig {
-        &self.config
-    }
-
-    /// The learned weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Predicted probability that `features` belongs to the positive class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the feature length does not match the configured dimension.
-    pub fn predict(&self, features: &[f64]) -> f64 {
-        assert_eq!(
-            features.len(),
-            self.weights.len(),
-            "feature dimension mismatch"
-        );
-        let z: f64 = self
-            .weights
-            .iter()
-            .zip(features)
-            .map(|(w, x)| w * x)
-            .sum::<f64>()
-            + self.bias;
-        sigmoid(z)
-    }
-
-    /// Trains on `data`, returning the mean training loss of the final epoch.
-    pub fn train<R: Rng + ?Sized>(&mut self, data: &Dataset, rng: &mut R) -> f64 {
-        assert_eq!(
-            data.dim(),
-            self.config.input_dim,
-            "dataset dimension mismatch"
-        );
-        let n = data.len();
-        let mut indices: Vec<usize> = (0..n).collect();
-        let mut last_loss = f64::INFINITY;
-        for _ in 0..self.config.epochs {
-            indices.shuffle(rng);
-            let mut epoch_loss = 0.0;
-            for batch in indices.chunks(self.config.batch_size.max(1)) {
-                let mut grad_w = vec![0.0; self.weights.len()];
-                let mut grad_b = 0.0;
-                for &i in batch {
-                    let x = data.features_of(i);
-                    let y = data.label_of(i);
-                    let p = self.predict(x);
-                    let err = p - y;
-                    for (g, xv) in grad_w.iter_mut().zip(x) {
-                        *g += err * xv;
-                    }
-                    grad_b += err;
-                    epoch_loss += binary_cross_entropy(p, y);
-                }
-                let scale = self.config.learning_rate / batch.len() as f64;
-                for (w, g) in self.weights.iter_mut().zip(&grad_w) {
-                    *w -= scale * (g + self.config.l2 * *w);
-                }
-                self.bias -= scale * grad_b;
-            }
-            last_loss = epoch_loss / n as f64;
-        }
-        last_loss
-    }
-}
+//! The logistic loss.
 
 /// Binary cross-entropy of a prediction `p` against a 0/1 label `y`, clamped
-/// for numerical stability.
+/// for numerical stability. The training loss of every learner in the
+/// workspace (the MLP here and the DGCNN in `autolock_gnn`).
 pub fn binary_cross_entropy(p: f64, y: f64) -> f64 {
     let p = p.clamp(1e-12, 1.0 - 1e-12);
     -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
@@ -131,42 +11,6 @@ pub fn binary_cross_entropy(p: f64, y: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn learns_linearly_separable_data() {
-        // Positive iff x0 + x1 > 1.
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        for _ in 0..200 {
-            let x0: f64 = rng.gen_range(0.0..1.0);
-            let x1: f64 = rng.gen_range(0.0..1.0);
-            rows.push(vec![x0, x1]);
-            labels.push(if x0 + x1 > 1.0 { 1.0 } else { 0.0 });
-        }
-        let data = Dataset::from_rows(rows, labels).unwrap();
-        let mut model = LogisticRegression::new(LogisticConfig {
-            input_dim: 2,
-            epochs: 200,
-            learning_rate: 0.5,
-            ..Default::default()
-        });
-        let loss = model.train(&data, &mut rng);
-        assert!(loss < 0.3, "final loss too high: {loss}");
-        assert!(model.predict(&[0.9, 0.9]) > 0.7);
-        assert!(model.predict(&[0.1, 0.1]) < 0.3);
-    }
-
-    #[test]
-    fn untrained_model_predicts_half() {
-        let model = LogisticRegression::new(LogisticConfig {
-            input_dim: 3,
-            ..Default::default()
-        });
-        assert!((model.predict(&[1.0, -2.0, 0.5]) - 0.5).abs() < 1e-12);
-    }
 
     #[test]
     fn cross_entropy_is_low_for_confident_correct_predictions() {
@@ -174,15 +18,5 @@ mod tests {
         assert!(binary_cross_entropy(0.01, 0.0) < 0.05);
         assert!(binary_cross_entropy(0.01, 1.0) > 2.0);
         assert!(binary_cross_entropy(1.0, 0.0).is_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "feature dimension mismatch")]
-    fn wrong_feature_length_panics() {
-        let model = LogisticRegression::new(LogisticConfig {
-            input_dim: 2,
-            ..Default::default()
-        });
-        model.predict(&[1.0]);
     }
 }

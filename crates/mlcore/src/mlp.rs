@@ -1,8 +1,7 @@
 //! Multi-layer perceptron for binary classification.
 
-use crate::logistic::binary_cross_entropy;
 use crate::optim::{adam_step_flat, AdamParams};
-use crate::{kernels, sigmoid, Dataset, Matrix};
+use crate::{binary_cross_entropy, kernels, sigmoid, Dataset, Matrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};

@@ -1,7 +1,7 @@
 //! Property-based tests for the ML substrate.
 
 use autolock_mlcore::metrics::{roc_auc, BinaryMetrics};
-use autolock_mlcore::{Dataset, LogisticConfig, LogisticRegression, Matrix};
+use autolock_mlcore::{Dataset, Matrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -119,35 +119,4 @@ proptest! {
             prop_assert!((a - b).abs() < 1e-9);
         }
     }
-}
-
-#[test]
-fn logistic_regression_separates_shifted_gaussians() {
-    let mut rng = ChaCha8Rng::seed_from_u64(99);
-    use rand::Rng;
-    let mut rows = Vec::new();
-    let mut labels = Vec::new();
-    for _ in 0..300 {
-        let class = rng.gen_bool(0.5);
-        let center = if class { 1.5 } else { -1.5 };
-        rows.push(vec![
-            center + rng.gen_range(-1.0..1.0),
-            center + rng.gen_range(-1.0..1.0),
-        ]);
-        labels.push(f64::from(class));
-    }
-    let data = Dataset::from_rows(rows, labels).unwrap();
-    let mut model = LogisticRegression::new(LogisticConfig {
-        input_dim: 2,
-        epochs: 120,
-        learning_rate: 0.3,
-        ..Default::default()
-    });
-    model.train(&data, &mut rng);
-    let preds: Vec<f64> = (0..data.len())
-        .map(|i| model.predict(data.features_of(i)))
-        .collect();
-    let metrics = BinaryMetrics::from_predictions(&preds, data.labels());
-    assert!(metrics.accuracy() > 0.9, "accuracy {}", metrics.accuracy());
-    assert!(roc_auc(&preds, data.labels()) > 0.95);
 }

@@ -40,7 +40,7 @@ use std::collections::HashMap;
 
 /// Parses a `.bench` source into a combinational [`Netlist`].
 ///
-/// This is a thin wrapper over [`parse_bench_sequential`] that additionally
+/// This is a thin wrapper over `parse_bench_sequential` that additionally
 /// rejects sources containing latches; prefer the [`crate::ingest`] front
 /// door ([`crate::ingest::parse_auto`] / [`crate::ingest::parse_path`]) in
 /// new code — it detects formats and offers sequential handling.

@@ -4,7 +4,7 @@
 //! correct?"; this one answers "where did the run spend its time and
 //! memory?". It provides, with zero external dependencies (shim discipline):
 //!
-//! * **Hierarchical timed spans** — [`span`] (or the [`span!`] macro) returns
+//! * **Hierarchical timed spans** — [`span()`] (or the [`span!`] macro) returns
 //!   an RAII guard; nested guards on one thread build a `/`-joined path
 //!   (`"attack.muxlink/gnn.train/gnn.train_epoch"`). Every exit updates a
 //!   per-path aggregate and appends a [`SpanEvent`] to a per-thread buffer.
@@ -331,7 +331,7 @@ pub fn set_event_cap(cap: u64) {
     registry().event_cap.store(cap, Ordering::Relaxed);
 }
 
-/// An active span; created by [`span`], records on drop. Not `Send`: spans
+/// An active span; created by [`span()`], records on drop. Not `Send`: spans
 /// must exit on the thread that opened them (the per-thread stack is what
 /// gives events their hierarchical path).
 #[must_use = "a span guard records when dropped; binding it to `_` drops it immediately"]

@@ -7,7 +7,6 @@
 //!   two-watched-literal propagation, a VSIDS activity heap for decisions,
 //!   first-UIP clause learning, non-chronological backtracking, geometric
 //!   restarts and incremental solving under assumptions;
-//! * [`CnfFormula`] — a clause container with DIMACS import/export;
 //! * [`encode`] — Tseitin encoding of an [`autolock_netlist::Netlist`] into
 //!   CNF, with a stable gate→variable mapping so the attack can constrain and
 //!   read back key bits;
@@ -34,14 +33,12 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-mod cnf;
 pub mod encode;
 mod heap;
 mod snapshot;
 mod solver;
 mod types;
 
-pub use cnf::CnfFormula;
 pub use encode::CircuitEncoder;
 pub use snapshot::SolverSnapshot;
 pub use solver::{SolveBudget, SolveResult, Solver, SolverStats};

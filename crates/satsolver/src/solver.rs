@@ -157,7 +157,7 @@ const UNDEF: i8 = 0;
 /// # Clause storage
 ///
 /// The literals of every clause live back to back in one arena; a clause is
-/// a [`ClauseHeader`] pointing into it. Adding a clause appends to the arena
+/// a `ClauseHeader` pointing into it. Adding a clause appends to the arena
 /// and dropping the solver frees it in one piece, so neither costs a heap
 /// allocation per clause. Watch lists hold `u32` clause indices, which the
 /// arena's `u32` positions bound.

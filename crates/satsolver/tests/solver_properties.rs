@@ -1,7 +1,7 @@
 //! Property-based tests for the CDCL solver and the circuit encoder.
 
 use autolock_netlist::{GateId, GateKind, Netlist};
-use autolock_satsolver::{CircuitEncoder, CnfFormula, Lit, SolveResult, Solver, Var};
+use autolock_satsolver::{CircuitEncoder, Lit, SolveResult, Solver, Var};
 use proptest::prelude::*;
 
 /// Brute-force satisfiability check for small variable counts.
@@ -144,23 +144,6 @@ proptest! {
             let v = with_assumption.value(assumption.var()).unwrap();
             prop_assert_eq!(v, assumption.is_pos());
         }
-    }
-
-    /// DIMACS round trip preserves the formula.
-    #[test]
-    fn dimacs_roundtrip(
-        clauses in proptest::collection::vec(clause_strategy(9), 0..25),
-    ) {
-        let mut f = CnfFormula::new();
-        f.reserve_vars(9);
-        for c in &clauses {
-            f.add_clause(c.iter().copied());
-        }
-        let text = f.to_dimacs();
-        let back = CnfFormula::from_dimacs(&text).unwrap();
-        prop_assert_eq!(back.num_clauses(), f.num_clauses());
-        prop_assert_eq!(back.clauses(), f.clauses());
-        prop_assert!(back.num_vars() >= f.clauses().iter().flatten().map(|l| l.var().index() + 1).max().unwrap_or(0));
     }
 }
 

@@ -49,11 +49,11 @@ pub struct EngineConfig {
     /// quarantined with a structured `error` row. Deterministic failures
     /// (parse/lock/parameter errors) are never retried. Clamped to ≥ 1.
     pub max_attempts: u32,
-    /// Mid-solve SAT checkpoint granule: when set, SAT jobs pause their
-    /// active solver call every this-many conflicts and persist the full
-    /// attack state, so a kill mid-solve resumes the search (bit-identical)
-    /// instead of restarting the job. `None` disables SAT checkpointing.
-    pub sat_step_conflicts: Option<u64>,
+    /// Mid-solve SAT checkpoint granule: SAT jobs pause their active solver
+    /// call every this-many conflicts and persist the full attack state, so
+    /// a kill mid-solve resumes the search (bit-identical) instead of
+    /// restarting the job. `0` acts as `1`.
+    pub sat_step_conflicts: u64,
     /// Deterministic fault-injection plan. [`FaultPlan::none`] in
     /// production; chaos tests arm torn writes, corrupt bytes, read errors
     /// and worker panics at named seams.
@@ -74,7 +74,7 @@ impl EngineConfig {
             threads,
             chunk: 8,
             max_attempts: 3,
-            sat_step_conflicts: Some(20_000),
+            sat_step_conflicts: 20_000,
             faults: FaultPlan::none(),
         }
     }
@@ -437,25 +437,21 @@ impl JobEngine {
             max_iterations,
             timeout_ms: u128::from(timeout_ms),
             max_propagations_per_solve,
-            checkpoint_conflicts: self.config.sat_step_conflicts,
+            checkpoint_conflicts: Some(self.config.sat_step_conflicts),
         });
-        let outcome = if self.config.sat_step_conflicts.is_some() {
-            // Persist the full attack state at every step boundary: after
-            // each DIP/oracle exchange and — thanks to the conflict granule
-            // — *inside* long miter/key solves, so a SIGKILL at any point
-            // loses at most one granule of search.
-            let job = ResumableSatAttack::new(&attack, &locked, netlist);
-            self.run_resumable(
-                &job,
-                &ResumeSite {
-                    name: Self::sat_checkpoint_name(&spec.id),
-                    resume_counter: "service.sat_resumes",
-                    checkpoint_counter: "service.sat_checkpoints",
-                },
-            )?
-        } else {
-            attack.attack(&locked, netlist)
-        };
+        // Persist the full attack state at every step boundary: after each
+        // DIP/oracle exchange and — thanks to the conflict granule — *inside*
+        // long miter/key solves, so a SIGKILL at any point loses at most one
+        // granule of search.
+        let job = ResumableSatAttack::new(&attack, &locked, netlist);
+        let outcome = self.run_resumable(
+            &job,
+            &ResumeSite {
+                name: Self::sat_checkpoint_name(&spec.id),
+                resume_counter: "service.sat_resumes",
+                checkpoint_counter: "service.sat_checkpoints",
+            },
+        )?;
         Ok(JobRow {
             job_id: spec.id.clone(),
             circuit: spec.circuit.clone(),

@@ -379,12 +379,7 @@ impl Default for DirJobConfig {
 /// Stable per-circuit seed: FNV-1a of the circuit name folded into the base
 /// seed, so job draws depend only on (base seed, name).
 fn mix_seed(base: u64, name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    base ^ h
+    base ^ autolock_obs::manifest::fnv1a(name.as_bytes())
 }
 
 /// Scans `dir` for circuit files — `*.bench` and ASCII AIGER `*.aag`,

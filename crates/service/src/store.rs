@@ -10,6 +10,7 @@
 //! recomputation, never a panic and never a wrong result.
 
 use crate::fault::{FaultKind, FaultPlan};
+use autolock_obs::manifest::fnv1a;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -18,23 +19,14 @@ use std::sync::Arc;
 /// Frame magic: identifies a well-formed store record.
 const MAGIC: &[u8; 8] = b"ALCKPT01";
 
-/// FNV-1a over the payload — cheap, dependency-free, and plenty to catch
-/// torn writes and bit flips (this is corruption *detection*, not crypto).
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in payload {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Frames a payload: magic + LE length + LE checksum + payload.
+/// Frames a payload: magic + LE length + LE checksum + payload. The
+/// checksum is FNV-1a — cheap, dependency-free, and plenty to catch torn
+/// writes and bit flips (this is corruption *detection*, not crypto).
 pub(crate) fn encode_record(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(24 + payload.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -48,7 +40,7 @@ pub(crate) fn decode_record(bytes: &[u8]) -> Option<Vec<u8>> {
     let len = u64::from_le_bytes(bytes[8..16].try_into().ok()?) as usize;
     let sum = u64::from_le_bytes(bytes[16..24].try_into().ok()?);
     let payload = &bytes[24..];
-    if payload.len() != len || checksum(payload) != sum {
+    if payload.len() != len || fnv1a(payload) != sum {
         return None;
     }
     Some(payload.to_vec())

@@ -70,7 +70,7 @@ fn config(dir: &Path) -> EngineConfig {
     let mut config = EngineConfig::rooted(dir, 0);
     // Checkpoint at every conflict so SAT checkpoints exist even on these
     // small instances, and the tear points land on real mid-run state.
-    config.sat_step_conflicts = Some(1);
+    config.sat_step_conflicts = 1;
     config
 }
 

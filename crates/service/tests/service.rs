@@ -538,7 +538,7 @@ fn serves_a_directory_with_every_job_kind() {
 fn sat_job_resumes_from_a_mid_run_checkpoint_bit_identically() {
     autolock_obs::enable();
     let job = &mixed_jobs()[0]; // sat-easy
-    let granule = Some(1);
+    let granule = 1;
 
     let dir_a = scratch("sat_ref");
     let mut config_a = EngineConfig::rooted(&dir_a, 1);
@@ -573,7 +573,7 @@ fn sat_job_resumes_from_a_mid_run_checkpoint_bit_identically() {
             max_iterations: 2000,
             timeout_ms: 600_000,
             max_propagations_per_solve: None,
-            checkpoint_conflicts: granule,
+            checkpoint_conflicts: Some(granule),
         });
         let mut state = attack.init_state(&locked, &netlist);
         for _ in 0..3 {

@@ -151,7 +151,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Accepted size specifications for [`vec`]: a fixed length, a half-open
+    /// Accepted size specifications for [`vec()`]: a fixed length, a half-open
     /// range or an inclusive range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
