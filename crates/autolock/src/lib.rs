@@ -38,6 +38,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 mod cache;
 mod config;

@@ -8,6 +8,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 use serde::Serialize;
 use std::fmt::Write as _;

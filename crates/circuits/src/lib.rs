@@ -37,6 +37,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub mod generator;
 pub mod sequential;

@@ -10,6 +10,11 @@
 //! the fixed-size `[f64; NR]` accumulator arrays are enough for LLVM to emit
 //! packed adds/muls on any target.
 //!
+//! Each kernel has one portable body. On x86-64 the public entry points also
+//! carry an AVX2 build of that body and choose it at run time when the CPU
+//! supports AVX2; the result is the same bit for bit (see the crate README,
+//! "Runtime AVX2 dispatch"). The `*_naive` reference loops stay portable.
+//!
 //! # Bit-for-bit contract
 //!
 //! Blocked results are **bit-for-bit identical** to the naive reference
@@ -44,9 +49,9 @@
 //! only affect wall clock, never results.
 
 /// Output columns each register micro-kernel accumulates at once. Eight
-/// `f64` accumulators span two AVX2 (or four SSE2) vector registers and
-/// leave room for the broadcast `a` value; the compiler unrolls the
-/// fixed-size loops over `[f64; NR]` completely.
+/// `f64` accumulators span two AVX2 `ymm` (or four SSE2 `xmm`) vector
+/// registers; the compiler unrolls the fixed-size loops over `[f64; NR]`
+/// completely.
 pub const NR: usize = 8;
 
 /// Depth (shared-k extent) of one packed B panel: `KC × NR` panel columns
@@ -63,8 +68,9 @@ pub const MC: usize = 64;
 
 /// Rows of A each register micro-kernel accumulates simultaneously. An
 /// `MR × NR` accumulator block amortizes every packed-panel load over `MR`
-/// rows; `4 × 8` doubles are 16 vector registers of accumulators on AVX2,
-/// leaving the rest for the broadcast A column and the B panel row.
+/// rows. The `4 × 8` accumulator doubles fill 8 `ymm` registers on AVX2,
+/// leaving 8 for the broadcast A value and the B panel row; on SSE2 they
+/// take all 16 `xmm` registers, which is why the AVX2 build is faster.
 pub const MR: usize = 4;
 
 #[inline]
@@ -74,11 +80,17 @@ fn check_dims(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &[f64]) {
     debug_assert_eq!(out.len(), m * n, "out must be m*n");
 }
 
-/// Blocked `out += A · B` for row-major `A (m×k)`, `B (k×n)`, `out (m×n)`.
-///
-/// `out` must be zeroed (or hold a partial sum over a k-prefix) on entry;
-/// [`crate::Matrix::matmul`] always passes a fresh zero matrix.
-pub fn matmul_nn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+avx2_dispatch! {
+    /// Blocked `out += A · B` for row-major `A (m×k)`, `B (k×n)`, `out (m×n)`.
+    ///
+    /// `out` must be zeroed (or hold a partial sum over a k-prefix) on entry;
+    /// [`crate::Matrix::matmul`] always passes a fresh zero matrix.
+    pub fn matmul_nn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64])
+        => matmul_nn_portable
+}
+
+#[inline(always)]
+fn matmul_nn_portable(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     check_dims(m, k, n, a, b, out);
     gebp(
         m,
@@ -96,7 +108,7 @@ pub fn matmul_nn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [
 /// transposed) left operand `A'[r][kk]`. The accessor is only used while
 /// packing the `MR`-row A block (a pure copy), so a strided accessor costs
 /// one gather per packed element, never per multiply.
-#[inline]
+#[inline(always)]
 fn gebp(
     m: usize,
     k: usize,
@@ -166,7 +178,7 @@ fn gebp(
 /// sequentially. Every output element still owns a single accumulator fed
 /// in increasing k order, so blocking rows changes nothing bitwise — it
 /// only amortizes each strip load over `MR` rows.
-#[inline]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // a micro-kernel's geometry really is 8 scalars
 fn accumulate_row_block(
     apack: &[f64],
@@ -214,7 +226,7 @@ fn accumulate_row_block(
 
 /// Single-row variant of the micro-kernel for the `m % MR` remainder rows:
 /// `out_row[js+t] += Σ_kk a_row[kk] · strip[kk, t]`, k in order.
-#[inline]
+#[inline(always)]
 fn accumulate_row(a_row: &[f64], panel: &[f64], kn: usize, jn: usize, out_row: &mut [f64]) {
     let mut js = 0;
     while js < jn {
@@ -240,15 +252,22 @@ fn accumulate_row(a_row: &[f64], panel: &[f64], kn: usize, jn: usize, out_row: &
     }
 }
 
-/// Blocked `out += Aᵀ · B` for row-major `A (k×m)`, `B (k×n)`, `out (m×n)`.
-/// Like [`matmul_nn`], `out` must be zeroed on entry for a plain product
-/// ([`crate::Matrix::matmul_tn`] always passes fresh zeros).
-///
-/// Reuses the `gebp` driver with a strided accessor: the transpose never
-/// materializes — the A-block packing step gathers the needed column
-/// entries directly. Per-element accumulation runs in shared-k order either
-/// way, so the result is bit-identical to the naive implicit-transpose loop.
-pub fn matmul_tn(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+avx2_dispatch! {
+    /// Blocked `out += Aᵀ · B` for row-major `A (k×m)`, `B (k×n)`, `out (m×n)`.
+    /// Like [`matmul_nn`], `out` must be zeroed on entry for a plain product
+    /// ([`crate::Matrix::matmul_tn`] always passes fresh zeros).
+    ///
+    /// Reuses the `gebp` driver with a strided accessor: the transpose never
+    /// materializes — the A-block packing step gathers the needed column
+    /// entries directly. Per-element accumulation runs in shared-k order
+    /// either way, so the result is bit-identical to the naive
+    /// implicit-transpose loop.
+    pub fn matmul_tn(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64])
+        => matmul_tn_portable
+}
+
+#[inline(always)]
+fn matmul_tn_portable(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     debug_assert_eq!(a.len(), k * m, "A must be k*m");
     debug_assert_eq!(b.len(), k * n, "B must be k*n");
     debug_assert_eq!(out.len(), m * n, "out must be m*n");
@@ -263,13 +282,19 @@ pub fn matmul_tn(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &mut [
     );
 }
 
-/// Blocked `out = A · Bᵀ` for row-major `A (m×k)`, `B (n×k)`, `out (m×n)`.
-///
-/// Packs `NR` rows of B interleaved (`panel[kk·w + t] = B[c0+t][kk]`) so the
-/// micro-kernel reads both operands contiguously while computing `NR`
-/// dot products at once; each product accumulates k in order from `0.0`,
-/// matching the naive dot-product loop bit for bit.
-pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+avx2_dispatch! {
+    /// Blocked `out = A · Bᵀ` for row-major `A (m×k)`, `B (n×k)`, `out (m×n)`.
+    ///
+    /// Packs `NR` rows of B interleaved (`panel[kk·w + t] = B[c0+t][kk]`) so
+    /// the micro-kernel reads both operands contiguously while computing `NR`
+    /// dot products at once; each product accumulates k in order from `0.0`,
+    /// matching the naive dot-product loop bit for bit.
+    pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64])
+        => matmul_nt_portable
+}
+
+#[inline(always)]
+fn matmul_nt_portable(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     debug_assert_eq!(a.len(), m * k, "A must be m*k");
     debug_assert_eq!(b.len(), n * k, "B must be n*k");
     debug_assert_eq!(out.len(), m * n, "out must be m*n");
@@ -308,6 +333,71 @@ pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [
                 }
                 out_row.copy_from_slice(&acc[..w]);
             }
+        }
+    }
+}
+
+avx2_dispatch! {
+    /// The kernel behind [`crate::Matrix::matvec`]: `out = A · x` for
+    /// row-major `A (out.len() × cols)`, overwriting `out`, four rows at a
+    /// time; the `rows mod 4` remainder rows run the serial loop.
+    pub(crate) fn matvec(cols: usize, a: &[f64], x: &[f64], out: &mut [f64]) => matvec_portable
+}
+
+#[inline(always)]
+fn matvec_portable(cols: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(a.len(), out.len() * cols, "A must be rows*cols");
+    debug_assert_eq!(x.len(), cols, "x must have cols entries");
+    // `chunks_exact` needs a nonzero width; an empty row sums to 0.0.
+    if cols == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let mut blocks = a.chunks_exact(4 * cols);
+    let mut outs = out.chunks_exact_mut(4);
+    for (block, o) in (&mut blocks).zip(&mut outs) {
+        let (r0, rest) = block.split_at(cols);
+        let (r1, rest) = rest.split_at(cols);
+        let (r2, r3) = rest.split_at(cols);
+        let mut acc = [0.0; 4];
+        for ((((a0, a1), a2), a3), b) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
+            acc[0] += a0 * b;
+            acc[1] += a1 * b;
+            acc[2] += a2 * b;
+            acc[3] += a3 * b;
+        }
+        o.copy_from_slice(&acc);
+    }
+    for (row, o) in blocks
+        .remainder()
+        .chunks_exact(cols)
+        .zip(outs.into_remainder())
+    {
+        let mut acc = 0.0;
+        for (a, b) in row.iter().zip(x) {
+            acc += a * b;
+        }
+        *o = acc;
+    }
+}
+
+avx2_dispatch! {
+    /// The kernel behind [`crate::Matrix::matvec_t`]: `out += Aᵀ · x` for
+    /// row-major `A (x.len() × cols)`, adding row `r` of A scaled by `x[r]`
+    /// in increasing `r` order (`out` zeroed on entry for a plain product).
+    pub(crate) fn matvec_t(cols: usize, a: &[f64], x: &[f64], out: &mut [f64]) => matvec_t_portable
+}
+
+#[inline(always)]
+fn matvec_t_portable(cols: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(a.len(), x.len() * cols, "A must be rows*cols");
+    debug_assert_eq!(out.len(), cols, "out must have cols entries");
+    if cols == 0 {
+        return;
+    }
+    for (row, &xr) in a.chunks_exact(cols).zip(x) {
+        for (o, av) in out.iter_mut().zip(row) {
+            *o += av * xr;
         }
     }
 }
@@ -362,7 +452,7 @@ pub fn matmul_nt_naive(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn seq(len: usize, start: f64) -> Vec<f64> {
@@ -409,6 +499,82 @@ mod tests {
         matmul_nt(m2, k2, n2, &a, &b, &mut blocked);
         matmul_nt_naive(m2, k2, n2, &a, &b, &mut naive);
         bits_eq(&blocked, &naive);
+    }
+
+    /// `len` values mixing ordinary ones with `+0.0`, `-0.0` and subnormals
+    /// of both signs: the IEEE edges where a reordered or fused chain shows.
+    pub(crate) fn edge_values(len: usize, seed: u64) -> Vec<f64> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let specials = [0.0, -0.0, f64::MIN_POSITIVE / 4.0, -f64::MIN_POSITIVE / 3.0];
+        (0..len)
+            .map(|_| match rng.gen_range(0..8usize) {
+                i @ 0..=3 => specials[i],
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect()
+    }
+
+    /// Shapes `(m, k, n)` covering zero-sized dimensions, the `MR`/`NR`
+    /// remainder rows and columns, depth past one `KC` panel and width past
+    /// one `NC` panel.
+    const EDGE_SHAPES: [(usize, usize, usize); 9] = [
+        (0, 5, 7),
+        (6, 0, 7),
+        (6, 5, 0),
+        (1, 1, 1),
+        (MR - 1, 3, NR - 1),
+        (2 * MR + 3, 17, 2 * NR + 5),
+        (MR + 1, KC + 13, NR + 3),
+        (MC + 7, KC + 13, NC + NR + 3),
+        (9, 2 * KC + 1, 2),
+    ];
+
+    /// On an AVX2 machine the entry points run the AVX2 build, so these
+    /// compare it with the portable build (the only one other machines run)
+    /// bit for bit; elsewhere both sides are the portable build.
+    #[test]
+    fn dispatched_matmuls_match_portable_bodies() {
+        type Kernel = fn(usize, usize, usize, &[f64], &[f64], &mut [f64]);
+        let pairs: [(&str, Kernel, Kernel); 3] = [
+            ("nn", matmul_nn, matmul_nn_portable),
+            ("tn", matmul_tn, matmul_tn_portable),
+            ("nt", matmul_nt, matmul_nt_portable),
+        ];
+        for (seed, &(m, k, n)) in EDGE_SHAPES.iter().enumerate() {
+            let seed = seed as u64;
+            let a = edge_values(m * k, 2 * seed);
+            let b = edge_values(k * n, 2 * seed + 1);
+            for (name, dispatched, portable) in pairs {
+                // `tn` reads its operands as `(k, m, n)`; the element
+                // counts are the same.
+                let (d0, d1) = if name == "tn" { (k, m) } else { (m, k) };
+                let mut got = vec![0.0; m * n];
+                let mut want = vec![0.0; m * n];
+                dispatched(d0, d1, n, &a, &b, &mut got);
+                portable(d0, d1, n, &a, &b, &mut want);
+                bits_eq(&got, &want);
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_matvecs_match_portable_bodies() {
+        for (seed, &(rows, cols, _)) in EDGE_SHAPES.iter().enumerate() {
+            let seed = seed as u64;
+            let a = edge_values(rows * cols, 2 * seed);
+            let x = edge_values(cols, 2 * seed + 1);
+            let (mut got, mut want) = (vec![1.0; rows], vec![1.0; rows]);
+            matvec(cols, &a, &x, &mut got);
+            matvec_portable(cols, &a, &x, &mut want);
+            bits_eq(&got, &want);
+
+            let xt = edge_values(rows, 2 * seed + 1);
+            let (mut got, mut want) = (vec![0.0; cols], vec![0.0; cols]);
+            matvec_t(cols, &a, &xt, &mut got);
+            matvec_t_portable(cols, &a, &xt, &mut want);
+            bits_eq(&got, &want);
+        }
     }
 
     #[test]

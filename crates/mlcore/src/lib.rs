@@ -16,7 +16,8 @@
 //! * [`binary_cross_entropy`] — the one training loss, shared with the
 //!   DGCNN in `autolock_gnn`,
 //! * [`kernels`] — cache-blocked, register-tiled dense matmul kernels behind
-//!   [`Matrix::matmul`] and friends, bit-identical to the naive loops,
+//!   [`Matrix::matmul`] and friends, bit-identical to the naive loops and
+//!   compiled a second time for AVX2, chosen at run time,
 //! * [`metrics`] — binary-classification metrics (accuracy, precision,
 //!   recall, F1, ROC-AUC).
 //!
@@ -37,6 +38,10 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+#[macro_use]
+mod dispatch;
 
 mod dataset;
 mod ensemble;

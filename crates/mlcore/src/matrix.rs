@@ -107,36 +107,7 @@ impl Matrix {
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "dimension mismatch");
         let mut out = vec![0.0; self.rows];
-        // `chunks_exact` needs a nonzero width; an empty row sums to 0.0.
-        if self.cols == 0 {
-            return out;
-        }
-        let mut blocks = self.data.chunks_exact(4 * self.cols);
-        let mut outs = out.chunks_exact_mut(4);
-        for (block, o) in (&mut blocks).zip(&mut outs) {
-            let (r0, rest) = block.split_at(self.cols);
-            let (r1, rest) = rest.split_at(self.cols);
-            let (r2, r3) = rest.split_at(self.cols);
-            let mut acc = [0.0; 4];
-            for ((((a0, a1), a2), a3), b) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
-                acc[0] += a0 * b;
-                acc[1] += a1 * b;
-                acc[2] += a2 * b;
-                acc[3] += a3 * b;
-            }
-            o.copy_from_slice(&acc);
-        }
-        for (row, o) in blocks
-            .remainder()
-            .chunks_exact(self.cols)
-            .zip(outs.into_remainder())
-        {
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x) {
-                acc += a * b;
-            }
-            *o = acc;
-        }
+        crate::kernels::matvec(self.cols, &self.data, x, &mut out);
         out
     }
 
@@ -148,12 +119,7 @@ impl Matrix {
     pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.rows, "dimension mismatch");
         let mut out = vec![0.0; self.cols];
-        for (r, &xr) in x.iter().enumerate() {
-            let row = self.row(r);
-            for (o, a) in out.iter_mut().zip(row) {
-                *o += a * xr;
-            }
-        }
+        crate::kernels::matvec_t(self.cols, &self.data, x, &mut out);
         out
     }
 

@@ -109,11 +109,23 @@ impl AdamVecState {
     }
 }
 
-/// The shared flat-slice Adam kernel behind [`AdamState`],
-/// [`AdamVecState`] and the MLP: identical arithmetic per element, applied
-/// in storage order (which keeps updates deterministic and cache-friendly
-/// for row-major tensors). `t` is the 1-based step count.
-pub(crate) fn adam_step_flat(
+avx2_dispatch! {
+    /// The shared flat-slice Adam kernel behind [`AdamState`],
+    /// [`AdamVecState`] and the MLP: identical arithmetic per element,
+    /// applied in storage order (which keeps updates deterministic and
+    /// cache-friendly for row-major tensors). `t` is the 1-based step count.
+    pub(crate) fn adam_step_flat(
+        params: &mut [f64],
+        grad: &[f64],
+        m: &mut [f64],
+        v: &mut [f64],
+        t: u64,
+        hp: &AdamParams,
+    ) => adam_step_flat_portable
+}
+
+#[inline(always)]
+fn adam_step_flat_portable(
     params: &mut [f64],
     grad: &[f64],
     m: &mut [f64],
@@ -171,6 +183,33 @@ mod tests {
         }
         for v in x {
             assert!((v + 1.0).abs() < 1e-3);
+        }
+    }
+
+    /// On an AVX2 machine `adam_step_flat` runs the AVX2 build: a few steps
+    /// of it must leave the parameters and both moments bit-identical to the
+    /// portable build, on lengths off the vector width and values with
+    /// signed zeros and subnormals.
+    #[test]
+    fn dispatched_adam_step_matches_portable_body() {
+        use crate::kernels::tests::edge_values;
+        let hp = AdamParams {
+            l2: 1e-3,
+            ..Default::default()
+        };
+        for len in [0, 1, 3, 4, 7, 33] {
+            let mut got = [edge_values(len, 1), vec![0.0; len], vec![0.0; len]];
+            let mut want = got.clone();
+            for t in 1..=3 {
+                let grad = edge_values(len, 10 + t);
+                let [p, m, v] = &mut got;
+                adam_step_flat(p, &grad, m, v, t, &hp);
+                let [p, m, v] = &mut want;
+                adam_step_flat_portable(p, &grad, m, v, t, &hp);
+            }
+            for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
+                assert_eq!(g.to_bits(), w.to_bits(), "len {len}: {g} vs {w}");
+            }
         }
     }
 

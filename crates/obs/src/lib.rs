@@ -56,6 +56,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub mod manifest;
 pub mod mem;

@@ -55,6 +55,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 mod engine;
 mod fault;

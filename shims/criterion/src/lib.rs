@@ -7,6 +7,8 @@
 //! offline environment, with the same source-level API as real criterion so
 //! the benches compile unchanged.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Re-export matching `criterion::black_box` (the workspace uses

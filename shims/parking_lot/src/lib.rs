@@ -2,6 +2,8 @@
 //! `std::sync`. Poisoned locks (a panic while holding the guard) are
 //! recovered rather than propagated, matching parking_lot's semantics.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{
     Mutex as StdMutex, MutexGuard, RwLock as StdRwLock, RwLockReadGuard, RwLockWriteGuard,
 };

@@ -10,6 +10,8 @@
 //! `proptest::bool::ANY`, tuples of strategies, `collection::vec`, and
 //! `.prop_map`.
 
+#![forbid(unsafe_code)]
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 

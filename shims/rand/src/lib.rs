@@ -12,6 +12,8 @@
 //! workspace only relies on determinism under a fixed seed, which this
 //! implementation provides.
 
+#![forbid(unsafe_code)]
+
 pub mod distributions;
 pub mod seq;
 

@@ -6,6 +6,8 @@
 //! `RngCore` word stream; stream/word-position APIs of the real crate are not
 //! reproduced.
 
+#![forbid(unsafe_code)]
+
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 

@@ -7,6 +7,8 @@
 //! preserved. There is no work stealing — fitness-evaluation workloads in
 //! this workspace are uniform enough that static chunking is adequate.
 
+#![forbid(unsafe_code)]
+
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 

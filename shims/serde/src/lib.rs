@@ -9,6 +9,8 @@
 //! variants, which is exactly the shape of every serializable type in this
 //! workspace.
 
+#![forbid(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::HashMap;

@@ -15,6 +15,8 @@
 //! * simple generic parameters (`struct GaResult<G> { ... }`), which get a
 //!   `G: serde::Serialize` / `G: serde::Deserialize` bound.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 //! printed with Rust's shortest-round-trip float formatting. The parser is a
 //! straightforward recursive-descent JSON reader producing `serde::Value`.
 
+#![forbid(unsafe_code)]
+
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Error raised by JSON conversion.

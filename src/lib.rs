@@ -1,6 +1,8 @@
 //! Umbrella crate for the AutoLock reproduction: re-exports the workspace
 //! crates so examples and integration tests can use a single dependency.
 
+#![forbid(unsafe_code)]
+
 pub use autolock;
 pub use autolock_attacks as attacks;
 pub use autolock_circuits as circuits;
