@@ -6,11 +6,16 @@
 //! of every candidate score for one seeded D-MUX lock, under both backends:
 //! the DGCNN (`gnn_fast`) and the bagged MLP (`fast`, which trains through
 //! mini-batch matrix products and scores through `Matrix::matvec`), plus the
-//! MLP's gate-type-only ablation (`locality_only`). The first two digests
-//! were captured before the DGCNN factored head gradient, the
-//! row-interleaved `matvec` and the mini-batch MLP step landed, and all
-//! three before the attack built one shared `LinkView`, so a passing run
-//! proves those rewrites bit-identical.
+//! MLP's gate-type-only ablation (`locality_only`). The MLP digest was
+//! captured before the row-interleaved `matvec` and the mini-batch MLP step
+//! landed, and the MLP and locality-only digests before the attack built one
+//! shared `LinkView`, so a passing run proves those rewrites bit-identical.
+//!
+//! The DGCNN digest stands against the workspace `tanh`
+//! (`autolock_mlcore::kernels::tanh`), not the platform libm's: it was
+//! re-captured once, on purpose, when the conv layers moved off `f64::tanh`.
+//! That `tanh` uses only basic IEEE operations, so the pin holds for every
+//! libm and CPU, with or without AVX2.
 //!
 //! Each digest is checked serially and at the `AUTOLOCK_THREADS` count of
 //! the CI thread-matrix leg, so it also pins the thread-count contract.
@@ -103,7 +108,7 @@ fn dgcnn_model_and_scores_match_golden_digests() {
         epochs: 6,
         ..MuxLinkConfig::gnn_fast()
     };
-    assert_pinned(config, (0xad77_0646_c74d_888d, 0x5d9d_8234_096d_8d12));
+    assert_pinned(config, (0xa9a4_fce4_f709_0428, 0xc3f5_afb0_d7cd_c0f8));
 }
 
 #[test]

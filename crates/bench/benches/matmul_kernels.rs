@@ -1,13 +1,14 @@
 //! Micro-benchmarks of the shared `mlcore` dense-kernel layer: the blocked
-//! `matmul`/`matmul_tn`/`matmul_nt` against their naive references, and the
+//! `matmul`/`matmul_tn`/`matmul_nt` against their naive references, the
+//! workspace `tanh` row kernel against the libm's `f64::tanh`, and the
 //! parallel MLP-ensemble fan-out against serial training/scoring.
 //!
 //! Besides the usual Criterion entries, this bench writes a
 //! **machine-readable perf trajectory** to
 //! `<results>/BENCH_kernels.json` — one entry per (op, dims, threads) with
-//! ns/iter and the speedup over its baseline (naive kernel, or the serial
-//! pool) — so future PRs can diff kernel performance instead of eyeballing
-//! bench logs. On a multi-core runner the blocked kernels should hold
+//! ns/iter and the speedup over its baseline (naive kernel, libm `tanh`, or
+//! the serial pool) — so future PRs can diff kernel performance instead of
+//! eyeballing bench logs. On a multi-core runner the blocked kernels should hold
 //! ≥ 1.5× naive on the ≥128×128 shapes and the 4-thread ensemble rows
 //! should beat serial; the JSON records whether they did. (The determinism
 //! suites prove blocked-vs-naive and parallel-vs-serial outputs are
@@ -18,6 +19,7 @@
 
 use autolock_bench::results_dir;
 use autolock_bench::trajectory::{median_ns, BenchEntry, BenchTrajectory};
+use autolock_mlcore::kernels::tanh_in_place;
 use autolock_mlcore::{Dataset, Matrix, MlpConfig, MlpEnsemble, MlpEnsembleConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
@@ -46,6 +48,31 @@ fn shapes() -> Vec<usize> {
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     Matrix::random(rows, cols, 1.0, &mut rng)
+}
+
+/// One DGCNN forward pass's worth of conv pre-activations: a 30-node
+/// subgraph times the 33 channels of the default conv stack
+/// (16 + 16 + 1).
+const TANH_BLOCK: (usize, usize) = (30, 33);
+
+fn tanh_block() -> Vec<f64> {
+    let mut rng = ChaCha8Rng::seed_from_u64(3000);
+    Matrix::random(TANH_BLOCK.0, TANH_BLOCK.1, 3.0, &mut rng).into_vec()
+}
+
+/// `tanh` over a copy of `block` in `buf`, by the workspace row kernel.
+fn tanh_kernel(block: &[f64], buf: &mut [f64]) {
+    buf.copy_from_slice(block);
+    tanh_in_place(black_box(buf));
+}
+
+/// `tanh` over a copy of `block` in `buf`, element by element through the
+/// libm.
+fn tanh_libm(block: &[f64], buf: &mut [f64]) {
+    buf.copy_from_slice(block);
+    for v in black_box(buf).iter_mut() {
+        *v = v.tanh();
+    }
 }
 
 /// A linearly-separable-ish training set for the ensemble rows.
@@ -107,6 +134,21 @@ fn bench_blocked_vs_naive(c: &mut Criterion) {
             bch.iter(|| black_box(&a).matmul_nt_naive(black_box(&b)))
         });
     }
+    group.finish();
+}
+
+/// The workspace `tanh` row kernel vs `f64::tanh` over one conv block.
+fn bench_tanh(c: &mut Criterion) {
+    let block = tanh_block();
+    let mut buf = block.clone();
+    let (rows, cols) = TANH_BLOCK;
+    let mut group = c.benchmark_group("K3_tanh");
+    group.bench_function(&format!("tanh_kernel_{rows}x{cols}"), |bch| {
+        bch.iter(|| tanh_kernel(&block, &mut buf))
+    });
+    group.bench_function(&format!("tanh_libm_{rows}x{cols}"), |bch| {
+        bch.iter(|| tanh_libm(&block, &mut buf))
+    });
     group.finish();
 }
 
@@ -199,6 +241,20 @@ fn emit_trajectory(_c: &mut Criterion) {
         }
     }
 
+    let block = tanh_block();
+    let mut buf = block.clone();
+    let kernel_ns = median_ns(samples, || tanh_kernel(&block, &mut buf));
+    let libm_ns = median_ns(samples, || tanh_libm(&block, &mut buf));
+    entries.push(BenchEntry {
+        op: "tanh".to_string(),
+        dims: format!("{}x{}", TANH_BLOCK.0, TANH_BLOCK.1),
+        threads: 1,
+        ns_per_iter: kernel_ns,
+        baseline: "f64::tanh".to_string(),
+        baseline_ns_per_iter: libm_ns,
+        speedup_vs_baseline: libm_ns / kernel_ns,
+    });
+
     let data = ensemble_dataset(if quick() { 64 } else { 256 }, 16);
     let rows: Vec<Vec<f64>> = (0..data.len())
         .map(|i| data.features_of(i).to_vec())
@@ -265,6 +321,6 @@ fn emit_trajectory(_c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = bench_config();
-    targets = bench_blocked_vs_naive, bench_ensemble_parallel, emit_trajectory
+    targets = bench_blocked_vs_naive, bench_tanh, bench_ensemble_parallel, emit_trajectory
 }
 criterion_main!(kernels);

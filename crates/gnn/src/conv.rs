@@ -1,6 +1,7 @@
 //! The DGCNN spatial graph-convolution layer.
 
 use crate::SubgraphTensor;
+use autolock_mlcore::kernels::tanh_in_place;
 use autolock_mlcore::optim::{AdamParams, AdamState, AdamVecState};
 use autolock_mlcore::Matrix;
 use rand::Rng;
@@ -8,6 +9,13 @@ use serde::{Deserialize, Serialize};
 
 /// One graph convolution: `X' = tanh(Â X W + b)` with degree-normalized
 /// message passing (`Â` lives in the [`SubgraphTensor`]).
+///
+/// The forward pass ends in one fused epilogue over `Z = ÂX·W`: the bias is
+/// added to each row, then the mlcore row kernel
+/// [`tanh_in_place`](autolock_mlcore::kernels::tanh_in_place) runs over
+/// `Z`'s whole data slice, which becomes the layer output without another
+/// allocation. That `tanh` is the workspace's own, so the activations do not
+/// depend on the platform libm or on the CPU.
 ///
 /// Serializable (weights, biases and optimizer state) so trained models can
 /// be persisted in the service's model registry.
@@ -96,8 +104,11 @@ impl GraphConv {
                 *v += b;
             }
         }
-        let output = z.map(f64::tanh);
-        ConvCache { aggregated, output }
+        tanh_in_place(z.data_mut());
+        ConvCache {
+            aggregated,
+            output: z,
+        }
     }
 
     /// Backward pass: given dL/d(output), returns the parameter gradients and
@@ -108,26 +119,21 @@ impl GraphConv {
         cache: &ConvCache,
         grad_output: &Matrix,
     ) -> (ConvGrads, Matrix) {
-        let (grads, grad_z) = self.param_backward(cache, grad_output);
+        let (grads, grad_z) = self.param_backward(cache, grad_output.clone());
         (grads, self.input_backward(graph, &grad_z))
     }
 
-    /// The parameter half of the backward pass: given dL/d(output), returns
-    /// the parameter gradients and dL/dZ (the pre-activation gradient that
-    /// the input half consumes).
+    /// The parameter half of the backward pass: turns dL/d(output), passed
+    /// in `grad_z`, into dL/dZ in place (the pre-activation gradient that the
+    /// input half consumes) and returns the parameter gradients with it.
     pub(crate) fn param_backward(
         &self,
         cache: &ConvCache,
-        grad_output: &Matrix,
+        mut grad_z: Matrix,
     ) -> (ConvGrads, Matrix) {
-        // Through tanh: dZ = dOut ∘ (1 - out²). `grad_z` and the cache are
-        // distinct tensors, so both flat row slices stream without copies.
-        let mut grad_z = grad_output.clone();
-        for r in 0..grad_z.rows() {
-            let row = grad_z.row_mut(r);
-            for (g, &o) in row.iter_mut().zip(cache.output.row(r)) {
-                *g *= 1.0 - o * o;
-            }
+        // Through tanh: dZ = dOut ∘ (1 - out²).
+        for (g, &o) in grad_z.data_mut().iter_mut().zip(cache.output.data()) {
+            *g *= 1.0 - o * o;
         }
         let grad_w = cache.aggregated.matmul_tn(&grad_z);
         let mut grad_b = vec![0.0; self.bias.len()];

@@ -251,7 +251,7 @@ impl Dgcnn {
                 grad_out.add_scaled(1.0, &extra);
             }
             let conv = &self.convs[idx];
-            let (grads, grad_z) = conv.param_backward(&conv_caches[idx], &grad_out);
+            let (grads, grad_z) = conv.param_backward(&conv_caches[idx], grad_out);
             if idx > 0 {
                 carried = Some(conv.input_backward(graph, &grad_z));
             }

@@ -1,4 +1,5 @@
-//! Cache-blocked, register-tiled dense matmul kernels.
+//! Cache-blocked, register-tiled dense matmul kernels, plus the workspace's
+//! own lane-exact [`tanh`] and its row kernel [`tanh_in_place`].
 //!
 //! Every learned model in this workspace (the bagged-MLP MuxLink backend,
 //! the DGCNN conv/dense layers) funnels through the
@@ -47,6 +48,10 @@
 //! Block sizes live in the constants below; see `crates/mlcore/README.md`
 //! for how they map onto the cache hierarchy and how to retune them. They
 //! only affect wall clock, never results.
+
+mod tanh;
+
+pub use tanh::{tanh, tanh_in_place};
 
 /// Output columns each register micro-kernel accumulates at once. Eight
 /// `f64` accumulators span two AVX2 `ymm` (or four SSE2 `xmm`) vector
@@ -555,6 +560,37 @@ pub(crate) mod tests {
                 portable(d0, d1, n, &a, &b, &mut want);
                 bits_eq(&got, &want);
             }
+        }
+
+        // The `tanh` row kernel, over rows shorter than one 8-lane chunk
+        // (1, 3, 5), with a remainder (33) and long (1000): values span the
+        // whole range up to saturation, with NaN, the infinities, 22, a
+        // subnormal and signed zeros mixed in. The scalar entry point must
+        // agree too.
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            22.0,
+            -1.0,
+            f64::MIN_POSITIVE / 8.0,
+            -0.0,
+        ];
+        for (seed, len) in [1usize, 3, 5, 33, 1000].into_iter().enumerate() {
+            let row: Vec<f64> = edge_values(len, 100 + seed as u64)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| match i % 5 {
+                    4 => specials[(i / 5) % specials.len()],
+                    _ => 25.0 * v,
+                })
+                .collect();
+            let (mut got, mut want) = (row.clone(), row.clone());
+            tanh_in_place(&mut got);
+            tanh::tanh_in_place_portable(&mut want);
+            bits_eq(&got, &want);
+            let scalar: Vec<f64> = row.iter().map(|&x| tanh(x)).collect();
+            bits_eq(&scalar, &want);
         }
     }
 

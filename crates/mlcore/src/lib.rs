@@ -17,7 +17,9 @@
 //!   DGCNN in `autolock_gnn`,
 //! * [`kernels`] — cache-blocked, register-tiled dense matmul kernels behind
 //!   [`Matrix::matmul`] and friends, bit-identical to the naive loops and
-//!   compiled a second time for AVX2, chosen at run time,
+//!   compiled a second time for AVX2, chosen at run time, and the
+//!   workspace's own lane-exact `tanh` (the DGCNN conv activation),
+//!   independent of the platform libm,
 //! * [`metrics`] — binary-classification metrics (accuracy, precision,
 //!   recall, F1, ROC-AUC).
 //!
