@@ -44,7 +44,7 @@ pub use muxlink::{MuxCandidate, MuxLinkAttack, MuxLinkBackend, MuxLinkConfig, Tr
 pub use report::{AttackOutcome, KeyGuess};
 pub use sat::{
     ResumableSatAttack, SatAttack, SatAttackCheckpoint, SatAttackConfig, SatAttackOutcome,
-    SatAttackState,
+    SatAttackState, DEFAULT_MAX_PROPAGATIONS_PER_SOLVE,
 };
 pub use view::LinkView;
 

@@ -109,7 +109,6 @@ fn sat_attack_key_is_always_functionally_correct_when_successful() {
         let locked = DMuxLocking::default().lock(&original, 5, &mut rng).unwrap();
         let outcome = SatAttack::new(SatAttackConfig {
             max_iterations: 400,
-            timeout_ms: 30_000,
             ..SatAttackConfig::default()
         })
         .attack(&locked, &original);

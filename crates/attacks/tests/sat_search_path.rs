@@ -17,8 +17,6 @@ fn attack(circuit: &str, key_len: usize, seed: u64, cap: Option<u64>) -> (usize,
         .lock(&original, key_len, &mut rng)
         .expect("the circuit hosts the key");
     let outcome = SatAttack::new(SatAttackConfig {
-        // No wall-clock cutoff: only the deterministic budgets may stop it.
-        timeout_ms: u128::MAX,
         max_propagations_per_solve: cap,
         ..SatAttackConfig::default()
     })

@@ -399,7 +399,6 @@ mod tests {
             MuxLinkConfig::fast(),
             SatAttackConfig {
                 max_iterations: 20,
-                timeout_ms: 10_000,
                 ..SatAttackConfig::default()
             },
             vec![ObjectiveKind::MuxLinkAccuracy, ObjectiveKind::AreaOverhead],

@@ -177,7 +177,6 @@ fn e8_kernel(c: &mut Criterion) {
                 MuxLinkConfig::fast(),
                 SatAttackConfig {
                     max_iterations: 20,
-                    timeout_ms: 5_000,
                     max_propagations_per_solve: None,
                     ..SatAttackConfig::default()
                 },

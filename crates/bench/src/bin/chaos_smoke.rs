@@ -74,7 +74,6 @@ fn demo_jobs(circuits: &Path) -> std::io::Result<Vec<JobSpec>> {
     let config = DirJobConfig {
         lock: LockSpec::Xor { key_len: 4 },
         seed: 0x0C4A_05C0,
-        timeout_ms: 600_000,
         max_propagations_per_solve: None,
         max_iterations: 2000,
         kinds: DirJobKinds {

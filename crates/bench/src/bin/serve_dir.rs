@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p autolock_bench --bin serve_dir -- \
 //!     --dir circuits/ --out runs/smoke [--scheme xor|dmux] [--key-len N] \
-//!     [--seed N] [--timeout-ms N] [--propagations N] [--iterations N] \
+//!     [--seed N] [--propagations N] [--iterations N] \
 //!     [--attacks sat,muxlink,evolve] [--evolve-population N] \
 //!     [--evolve-generations N] [--evolve-islands N] [--unroll N] \
 //!     [--demo] [--demo-mixed]
@@ -27,10 +27,12 @@
 //! `<out>/rows.jsonl` as jobs finish; re-running against the same `--out`
 //! directory resumes, skipping completed jobs, and the final stream is
 //! bit-identical to an uninterrupted run. `--propagations` sets the
-//! deterministic per-solve work cap, which is how CI induces a reproducible
-//! `timeout` row; `--demo` first populates `--dir` with two quick synthetic
-//! circuits plus the structurally hard `st6288`, and `--demo-mixed` with
-//! the quick pair plus a sequential `.aag` (the ingestion smoke set).
+//! deterministic per-solve work cap (default
+//! [`autolock_attacks::DEFAULT_MAX_PROPAGATIONS_PER_SOLVE`]), which is how
+//! CI induces a reproducible `timeout` row; `--demo` first populates
+//! `--dir` with two quick synthetic circuits plus the structurally hard
+//! `st6288`, and `--demo-mixed` with the quick pair plus a sequential
+//! `.aag` (the ingestion smoke set).
 //!
 //! Exit status is 0 when every row is `ok`, 2 when any row is `timeout` or
 //! `error`, and 1 on usage or I/O failures.
@@ -43,20 +45,11 @@ use autolock_service::{
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// The command line: the job config plus the flags outside it.
 struct Options {
     dir: PathBuf,
     out: PathBuf,
-    scheme: String,
-    key_len: usize,
-    seed: u64,
-    timeout_ms: u64,
-    propagations: Option<u64>,
-    iterations: usize,
-    kinds: DirJobKinds,
-    evolve_population: usize,
-    evolve_generations: usize,
-    evolve_islands: usize,
-    unroll_frames: usize,
+    config: DirJobConfig,
     demo: bool,
     demo_mixed: bool,
 }
@@ -64,7 +57,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: serve_dir --dir <circuits> --out <run-dir> [--scheme xor|dmux] \
-         [--key-len N] [--seed N] [--timeout-ms N] [--propagations N] \
+         [--key-len N] [--seed N] [--propagations N] \
          [--iterations N] [--attacks sat,muxlink,evolve] [--evolve-population N] \
          [--evolve-generations N] [--evolve-islands N] [--unroll N] [--demo] \
          [--demo-mixed]"
@@ -73,23 +66,11 @@ fn usage() -> ! {
 }
 
 fn parse_options() -> Options {
-    let mut opts = Options {
-        dir: PathBuf::new(),
-        out: PathBuf::new(),
-        scheme: "xor".to_string(),
-        key_len: 16,
-        seed: DirJobConfig::default().seed,
-        timeout_ms: 60_000,
-        propagations: None,
-        iterations: 2000,
-        kinds: DirJobKinds::default(),
-        evolve_population: 4,
-        evolve_generations: 2,
-        evolve_islands: 1,
-        unroll_frames: DirJobConfig::default().unroll_frames,
-        demo: false,
-        demo_mixed: false,
-    };
+    let mut config = DirJobConfig::default();
+    let (mut dir, mut out) = (PathBuf::new(), PathBuf::new());
+    let mut scheme = "xor".to_string();
+    let mut key_len = config.lock.key_len();
+    let (mut demo, mut demo_mixed) = (false, false);
     let mut args = std::env::args().skip(1);
     let value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         args.next().unwrap_or_else(|| {
@@ -99,29 +80,29 @@ fn parse_options() -> Options {
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--dir" => opts.dir = PathBuf::from(value(&mut args, "--dir")),
-            "--out" => opts.out = PathBuf::from(value(&mut args, "--out")),
-            "--scheme" => opts.scheme = value(&mut args, "--scheme"),
-            "--key-len" => opts.key_len = parse_num(&value(&mut args, "--key-len")),
-            "--seed" => opts.seed = parse_num(&value(&mut args, "--seed")),
-            "--timeout-ms" => opts.timeout_ms = parse_num(&value(&mut args, "--timeout-ms")),
+            "--dir" => dir = PathBuf::from(value(&mut args, "--dir")),
+            "--out" => out = PathBuf::from(value(&mut args, "--out")),
+            "--scheme" => scheme = value(&mut args, "--scheme"),
+            "--key-len" => key_len = parse_num(&value(&mut args, "--key-len")),
+            "--seed" => config.seed = parse_num(&value(&mut args, "--seed")),
             "--propagations" => {
-                opts.propagations = Some(parse_num(&value(&mut args, "--propagations")));
+                config.max_propagations_per_solve =
+                    Some(parse_num(&value(&mut args, "--propagations")));
             }
-            "--iterations" => opts.iterations = parse_num(&value(&mut args, "--iterations")),
-            "--attacks" => opts.kinds = parse_kinds(&value(&mut args, "--attacks")),
+            "--iterations" => config.max_iterations = parse_num(&value(&mut args, "--iterations")),
+            "--attacks" => config.kinds = parse_kinds(&value(&mut args, "--attacks")),
             "--evolve-population" => {
-                opts.evolve_population = parse_num(&value(&mut args, "--evolve-population"));
+                config.evolve_population = parse_num(&value(&mut args, "--evolve-population"));
             }
             "--evolve-generations" => {
-                opts.evolve_generations = parse_num(&value(&mut args, "--evolve-generations"));
+                config.evolve_generations = parse_num(&value(&mut args, "--evolve-generations"));
             }
             "--evolve-islands" => {
-                opts.evolve_islands = parse_num(&value(&mut args, "--evolve-islands"));
+                config.evolve_islands = parse_num(&value(&mut args, "--evolve-islands"));
             }
-            "--unroll" => opts.unroll_frames = parse_num(&value(&mut args, "--unroll")),
-            "--demo" => opts.demo = true,
-            "--demo-mixed" => opts.demo_mixed = true,
+            "--unroll" => config.unroll_frames = parse_num(&value(&mut args, "--unroll")),
+            "--demo" => demo = true,
+            "--demo-mixed" => demo_mixed = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -129,10 +110,24 @@ fn parse_options() -> Options {
             }
         }
     }
-    if opts.dir.as_os_str().is_empty() || opts.out.as_os_str().is_empty() {
+    if dir.as_os_str().is_empty() || out.as_os_str().is_empty() {
         usage();
     }
-    opts
+    config.lock = match scheme.as_str() {
+        "xor" => LockSpec::Xor { key_len },
+        "dmux" => LockSpec::DMux { key_len },
+        other => {
+            eprintln!("unknown scheme: {other} (expected xor or dmux)");
+            std::process::exit(1);
+        }
+    };
+    Options {
+        dir,
+        out,
+        config,
+        demo,
+        demo_mixed,
+    }
 }
 
 fn parse_num<T: std::str::FromStr>(text: &str) -> T {
@@ -169,18 +164,6 @@ fn parse_kinds(text: &str) -> DirJobKinds {
 
 fn main() -> ExitCode {
     let opts = parse_options();
-    let lock = match opts.scheme.as_str() {
-        "xor" => LockSpec::Xor {
-            key_len: opts.key_len,
-        },
-        "dmux" => LockSpec::DMux {
-            key_len: opts.key_len,
-        },
-        other => {
-            eprintln!("unknown scheme: {other} (expected xor or dmux)");
-            return ExitCode::from(1);
-        }
-    };
     if opts.demo {
         if let Err(e) = write_demo_circuits(&opts.dir) {
             eprintln!("serve_dir: writing demo circuits: {e}");
@@ -194,19 +177,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let config = DirJobConfig {
-        lock,
-        seed: opts.seed,
-        timeout_ms: opts.timeout_ms,
-        max_propagations_per_solve: opts.propagations,
-        max_iterations: opts.iterations,
-        kinds: opts.kinds,
-        evolve_population: opts.evolve_population,
-        evolve_generations: opts.evolve_generations,
-        evolve_islands: opts.evolve_islands,
-        unroll_frames: opts.unroll_frames,
-    };
-    let jobs = match jobs_from_dir(&opts.dir, &config) {
+    let jobs = match jobs_from_dir(&opts.dir, &opts.config) {
         Ok(jobs) => jobs,
         Err(e) => {
             eprintln!("serve_dir: scanning {}: {e}", opts.dir.display());

@@ -318,7 +318,6 @@ pub fn e5_sat_attack(scale: Scale) -> ResultTable {
                 };
                 let outcome = SatAttack::new(SatAttackConfig {
                     max_iterations: 500,
-                    timeout_ms: 30_000,
                     ..SatAttackConfig::default()
                 })
                 .attack(&locked, &original);
@@ -337,7 +336,6 @@ pub fn e5_sat_attack(scale: Scale) -> ResultTable {
         if let Ok(result) = AutoLock::new(autolock_config(scale, k, 0xE5)).run(&original) {
             let outcome = SatAttack::new(SatAttackConfig {
                 max_iterations: 500,
-                timeout_ms: 30_000,
                 ..SatAttackConfig::default()
             })
             .attack(&result.locked, &original);
@@ -485,7 +483,6 @@ pub fn e8_multi_objective(scale: Scale) -> ResultTable {
         MuxLinkConfig::fast().with_threads(1),
         SatAttackConfig {
             max_iterations: 100,
-            timeout_ms: 10_000,
             ..SatAttackConfig::default()
         },
         vec![ObjectiveKind::MuxLinkAccuracy, ObjectiveKind::DepthOverhead],
@@ -1155,7 +1152,6 @@ pub fn e15_sequential_ingestion(scale: Scale) -> ResultTable {
     let config = DirJobConfig {
         lock: LockSpec::DMux { key_len },
         seed: 0xE15,
-        timeout_ms: 600_000,
         max_propagations_per_solve: None,
         max_iterations: 2000,
         kinds: DirJobKinds {

@@ -9,8 +9,7 @@
 //!
 //! What a snapshot deliberately does **not** carry is the runtime
 //! configuration that a resuming process re-arms itself: the
-//! [`SolveBudget`](crate::SolveBudget) (its wall-clock deadline is an
-//! `Instant`, meaningless in another process) and the pause granule. Callers
+//! [`SolveBudget`](crate::SolveBudget) and the pause granule. Callers
 //! restore those with [`Solver::set_budget`] and
 //! [`Solver::set_pause_granule`] after [`Solver::from_snapshot`]. The
 //! deterministic budget baselines (`base_conflicts`/`base_propagations`)
@@ -31,7 +30,7 @@
 //! between the two.
 
 use crate::heap::VarHeap;
-use crate::solver::{ClauseHeader, Solver};
+use crate::solver::{value_in, ClauseHeader, Solver};
 use crate::{Lit, SolveBudget, SolverStats};
 use serde::{Deserialize, Serialize};
 
@@ -80,8 +79,8 @@ impl SolverSnapshot {
     }
 
     /// Structural consistency check: every cross-index in the snapshot must
-    /// be in range, and the assignment must be one the solver could have
-    /// produced (the decision heap is rebuilt from it). Returns the first
+    /// be in range, and the search state must be one the solver could have
+    /// produced (see `validate_search`). Returns the first
     /// problem found.
     fn validate(&self) -> Result<(), String> {
         let nvars = self.assigns.len();
@@ -134,13 +133,6 @@ impl SolverSnapshot {
         if let Some(l) = self.trail.iter().find(|l| l.var().index() >= nvars) {
             return Err(format!("trail literal {l} exceeds {nvars} variables"));
         }
-        if let Some(l) = self
-            .trail
-            .iter()
-            .find(|l| self.assigns[l.var().index()] == 0)
-        {
-            return Err(format!("trail literal {l} is unassigned"));
-        }
         if self.qhead > self.trail.len() {
             return Err(format!(
                 "qhead {} beyond trail length {}",
@@ -162,6 +154,80 @@ impl SolverSnapshot {
         }
         if !self.activity.iter().all(|a| a.is_finite()) || !self.var_inc.is_finite() {
             return Err("non-finite VSIDS activity".to_string());
+        }
+        self.validate_search()
+    }
+
+    /// The invariants a resumed search relies on to stay in bounds, given
+    /// in-range indices: the assigned variables sit on the trail once each,
+    /// true, at the level their position implies; a decision opens its
+    /// level; an implied literal comes first in its reason, whose other
+    /// literals were falsified before it; each clause is watched by its
+    /// first two literals, once each; the per-call bookkeeping does not run
+    /// ahead of the counters; only a paused search sits above level 0.
+    fn validate_search(&self) -> Result<(), String> {
+        let mut position = vec![usize::MAX; self.assigns.len()];
+        for (i, &l) in self.trail.iter().enumerate() {
+            let v = l.var().index();
+            let level = self.trail_lim.partition_point(|&lim| lim <= i);
+            if position[v] != usize::MAX
+                || self.level[v] as usize != level
+                || value_in(&self.assigns, l) != 1
+            {
+                return Err(format!(
+                    "trail literal {l} repeated, false or off its level"
+                ));
+            }
+            position[v] = i;
+        }
+        if self.assigns.iter().filter(|&&a| a != 0).count() != self.trail.len() {
+            return Err("an assigned variable is missing from the trail".to_string());
+        }
+        for (v, reason) in self.reason.iter().enumerate() {
+            let sound = match *reason {
+                Some(ci) => {
+                    let lits = &self.clauses[ci].0;
+                    position[v] != usize::MAX
+                        && lits[0].var().index() == v
+                        && lits[1..].iter().all(|&l| {
+                            value_in(&self.assigns, l) == -1
+                                && position[l.var().index()] < position[v]
+                        })
+                }
+                None => {
+                    let level = self.level[v] as usize;
+                    position[v] == usize::MAX
+                        || level == 0
+                        || self.trail_lim[level - 1] == position[v]
+                }
+            };
+            if !sound {
+                return Err(format!("variable {v} has an unsound reason"));
+            }
+        }
+        let mut watched = vec![0u8; self.clauses.len()];
+        for (code, ws) in self.watches.iter().enumerate() {
+            for &ci in ws {
+                let lits = &self.clauses[ci].0;
+                let bit =
+                    u8::from(lits[0].code() == code) | (u8::from(lits[1].code() == code) << 1);
+                if bit == 0 || watched[ci] & bit != 0 {
+                    return Err(format!(
+                        "clause {ci} wrongly watched by literal code {code}"
+                    ));
+                }
+                watched[ci] |= bit;
+            }
+        }
+        if let Some(ci) = watched.iter().position(|&w| w != 3) {
+            return Err(format!("clause {ci} misses a watcher"));
+        }
+        if self.base_conflicts.max(self.pause_mark) > self.stats.conflicts
+            || self.base_propagations > self.stats.propagations
+            || self.restart_limit == 0
+            || (!self.paused && !self.trail_lim.is_empty())
+        {
+            return Err("per-call search bookkeeping contradicts the counters".to_string());
         }
         Ok(())
     }

@@ -3,7 +3,6 @@
 use crate::heap::VarHeap;
 use crate::{Lit, Var};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,21 +27,16 @@ pub enum SolveResult {
 
 /// A per-call resource budget for [`Solver::solve`].
 ///
-/// Deadline-based services must bound a *single* solver call, not just the
-/// gaps between calls: a miter solve on an ISCAS-scale circuit can run for
-/// minutes, so checking wall clock only between calls lets one call blow past
-/// any deadline unboundedly. The budget is consulted *inside* the CDCL loop
-/// (at every conflict and periodically between decisions), so `solve` returns
-/// [`SolveResult::Unknown`] within a small, bounded overshoot of the limit.
+/// A miter solve on an ISCAS-scale circuit can run for minutes, so a caller
+/// that wants to bound its work must bound a *single* solver call, not just
+/// the gaps between calls. The budget is consulted *inside* the CDCL loop (on
+/// every iteration), so `solve` returns [`SolveResult::Unknown`] within at
+/// most one propagation pass of the limit.
 ///
-/// The wall-clock deadline depends on the machine; the conflict and
-/// propagation budgets are deterministic (two runs on any machines cut off at
-/// the same search point), which is what a reproducible-results service wants
-/// for induced timeouts.
+/// Both limits count work, never time: two runs on any machines cut off at
+/// the same search point. The solver reads no clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveBudget {
-    /// Absolute wall-clock deadline; `None` = unbounded.
-    pub deadline: Option<Instant>,
     /// Maximum conflicts *per solve call*; `None` = unbounded.
     pub max_conflicts: Option<u64>,
     /// Maximum propagations *per solve call*; `None` = unbounded.
@@ -53,22 +47,6 @@ impl SolveBudget {
     /// No limits (the default).
     pub fn unbounded() -> Self {
         SolveBudget::default()
-    }
-
-    /// A wall-clock deadline `ms` milliseconds from now.
-    pub fn with_timeout_ms(ms: u64) -> Self {
-        SolveBudget {
-            deadline: Instant::now().checked_add(std::time::Duration::from_millis(ms)),
-            ..SolveBudget::default()
-        }
-    }
-
-    /// An absolute wall-clock deadline.
-    pub fn with_deadline(deadline: Instant) -> Self {
-        SolveBudget {
-            deadline: Some(deadline),
-            ..SolveBudget::default()
-        }
     }
 
     /// Caps propagations per call (deterministic, machine-independent).
@@ -85,7 +63,7 @@ impl SolveBudget {
 
     /// `true` if no limit is set (the hot loop skips all checks then).
     pub fn is_unbounded(&self) -> bool {
-        self.deadline.is_none() && self.max_conflicts.is_none() && self.max_propagations.is_none()
+        self.max_conflicts.is_none() && self.max_propagations.is_none()
     }
 }
 
@@ -125,7 +103,7 @@ impl ClauseHeader {
 
 /// Value of `l` under `assigns`: 1 true, -1 false, 0 unassigned.
 #[inline]
-fn value_in(assigns: &[i8], l: Lit) -> i8 {
+pub(crate) fn value_in(assigns: &[i8], l: Lit) -> i8 {
     let a = assigns[l.var().index()];
     if l.is_neg() {
         -a
@@ -261,8 +239,8 @@ impl Solver {
 
     /// Sets the budget applied to every subsequent `solve` call. Conflict and
     /// propagation limits are counted per call (against a snapshot of the
-    /// stats taken when the call starts); the deadline is absolute. Pass
-    /// [`SolveBudget::unbounded`] to clear.
+    /// stats taken when the call starts). Pass [`SolveBudget::unbounded`] to
+    /// clear.
     pub fn set_budget(&mut self, budget: SolveBudget) {
         self.budget = budget;
     }
@@ -687,10 +665,9 @@ impl Solver {
             self.pause_mark = self.stats.conflicts;
         }
 
-        // Each budget check is a couple of compares (plus one vDSO clock
-        // read for the deadline), negligible next to the propagate() call
-        // that follows it, so all three run on every iteration and the
-        // overshoot past a limit is at most one propagation pass.
+        // Each budget check is a compare, negligible next to the
+        // propagate() call that follows it, so both run on every iteration
+        // and the overshoot past a limit is at most one propagation pass.
         let bounded = !self.budget.is_unbounded();
 
         let result = 'outer: loop {
@@ -702,11 +679,6 @@ impl Solver {
                 }
                 if let Some(max) = self.budget.max_propagations {
                     if self.stats.propagations - self.base_propagations >= max {
-                        break 'outer SolveResult::Unknown;
-                    }
-                }
-                if let Some(deadline) = self.budget.deadline {
-                    if Instant::now() >= deadline {
                         break 'outer SolveResult::Unknown;
                     }
                 }
@@ -1032,27 +1004,6 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unknown);
         assert_eq!(s.stats().conflicts, 50);
         assert!(s.is_ok());
-    }
-
-    #[test]
-    fn deadline_budget_bounds_single_solve_call() {
-        use std::time::{Duration, Instant};
-        let mut s = Solver::new();
-        // Hard enough that an unbounded solve takes far longer than the
-        // deadline on any machine this runs on.
-        pigeonhole(&mut s, 11, 10);
-        s.set_budget(SolveBudget::with_timeout_ms(30));
-        let start = Instant::now();
-        let result = s.solve();
-        let elapsed = start.elapsed();
-        assert_eq!(result, SolveResult::Unknown);
-        // Generous multiple: the assertion is "bounded", not "tight" — debug
-        // builds on loaded CI runners are slow, but nowhere near the minutes
-        // an unbounded solve would take.
-        assert!(
-            elapsed < Duration::from_millis(30 * 100),
-            "deadline overshoot: {elapsed:?}"
-        );
     }
 
     #[test]

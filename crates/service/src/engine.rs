@@ -322,14 +322,12 @@ impl JobEngine {
         match &spec.kind {
             JobKind::SatAttack {
                 lock,
-                timeout_ms,
                 max_propagations_per_solve,
                 max_iterations,
             } => self.run_sat(
                 spec,
                 &netlist,
                 *lock,
-                *timeout_ms,
                 *max_propagations_per_solve,
                 *max_iterations,
             ),
@@ -425,7 +423,6 @@ impl JobEngine {
         spec: &JobSpec,
         netlist: &Netlist,
         lock: LockSpec,
-        timeout_ms: u64,
         max_propagations_per_solve: Option<u64>,
         max_iterations: usize,
     ) -> Result<JobRow, JobError> {
@@ -435,7 +432,6 @@ impl JobEngine {
             .map_err(|e| JobError::fatal(format!("lock: {e}")))?;
         let attack = SatAttack::new(SatAttackConfig {
             max_iterations,
-            timeout_ms: u128::from(timeout_ms),
             max_propagations_per_solve,
             checkpoint_conflicts: Some(self.config.sat_step_conflicts),
         });

@@ -1,7 +1,7 @@
 //! Job descriptions ([`JobSpec`]) and result rows ([`JobRow`]).
 
 use autolock::AutoLockConfig;
-use autolock_attacks::MuxLinkConfig;
+use autolock_attacks::{MuxLinkConfig, DEFAULT_MAX_PROPAGATIONS_PER_SOLVE};
 use autolock_evo::IslandConfig;
 use autolock_locking::{DMuxLocking, LockedNetlist, LockingScheme, XorLocking};
 use autolock_netlist::ingest::{self, CircuitFormat, IngestOptions, Ingested, SequentialHandling};
@@ -55,14 +55,9 @@ pub enum JobKind {
     SatAttack {
         /// The locking applied before the attack.
         lock: LockSpec,
-        /// Wall-clock deadline in milliseconds, enforced inside every solver
-        /// call. Machine-dependent near the threshold; pair with a generous
-        /// value and use `max_propagations_per_solve` for reproducible
-        /// cutoffs.
-        timeout_ms: u64,
         /// Deterministic per-solve work cap (`None` = unbounded): cuts off
-        /// at the same search point on every machine, which is what makes
-        /// induced-timeout rows reproducible.
+        /// at the same search point on every machine, so a give-up row is
+        /// reproducible.
         max_propagations_per_solve: Option<u64>,
         /// DIP-iteration cap.
         max_iterations: usize,
@@ -256,8 +251,9 @@ impl JobSpec {
 pub enum JobStatus {
     /// The job ran to a verdict.
     Ok,
-    /// The job's attack gave up on a budget (deadline, propagation cap or
-    /// iteration cap).
+    /// The job's attack gave up on a budget: the propagation cap or the
+    /// iteration cap. The name predates the caps' counting work instead of
+    /// time; rows keep it.
     Timeout,
     /// The job could not run (parse failure, locking failure, invalid
     /// parameters); `error` holds the message.
@@ -333,8 +329,6 @@ pub struct DirJobConfig {
     /// removing files (or enabling more kinds) never reshuffles the other
     /// jobs' draws.
     pub seed: u64,
-    /// Wall-clock deadline per SAT job.
-    pub timeout_ms: u64,
     /// Deterministic per-solve propagation cap (`None` = unbounded).
     pub max_propagations_per_solve: Option<u64>,
     /// DIP-iteration cap per SAT job.
@@ -364,8 +358,7 @@ impl Default for DirJobConfig {
         DirJobConfig {
             lock: LockSpec::Xor { key_len: 16 },
             seed: 0x05E4_11CE,
-            timeout_ms: 60_000,
-            max_propagations_per_solve: None,
+            max_propagations_per_solve: Some(DEFAULT_MAX_PROPAGATIONS_PER_SOLVE),
             max_iterations: 2000,
             kinds: DirJobKinds::default(),
             evolve_population: 4,
@@ -471,7 +464,6 @@ pub fn jobs_from_dir(dir: &Path, config: &DirJobConfig) -> io::Result<Vec<JobSpe
                     base.clone(),
                     JobKind::SatAttack {
                         lock: config.lock,
-                        timeout_ms: config.timeout_ms,
                         max_propagations_per_solve: config.max_propagations_per_solve,
                         max_iterations: config.max_iterations,
                     },
@@ -528,7 +520,6 @@ mod tests {
     fn kind_labels_and_key_lens() {
         let sat = JobKind::SatAttack {
             lock: LockSpec::Xor { key_len: 8 },
-            timeout_ms: 1,
             max_propagations_per_solve: None,
             max_iterations: 1,
         };

@@ -21,12 +21,11 @@
 //!   uninterrupted run (pinned by this crate's tests and the CI
 //!   `service-smoke` step).
 //!
-//! Rows carry no wall-clock fields; per-job determinism comes from each
-//! job's own seed, so neither thread count nor kill/resume boundaries can
-//! change the output. The only nondeterministic knob is a wall-clock
-//! `timeout_ms` on SAT jobs near its threshold — reproducible induced
-//! timeouts use the deterministic propagation cap instead (see
-//! [`autolock_attacks::SatAttackConfig::max_propagations_per_solve`]).
+//! Rows carry no wall-clock fields and every budget counts work, not time
+//! (SAT jobs stop on [`autolock_attacks::SatAttackConfig::max_iterations`]
+//! and [`autolock_attacks::SatAttackConfig::max_propagations_per_solve`]),
+//! so a row is a pure function of its job spec: neither thread count,
+//! machine speed nor kill/resume boundaries can change the output.
 //!
 //! # Fault tolerance
 //!

@@ -33,7 +33,6 @@ fn chaos_jobs() -> Vec<JobSpec> {
             sequential: Default::default(),
             kind: JobKind::SatAttack {
                 lock: LockSpec::Xor { key_len: 4 },
-                timeout_ms: 600_000,
                 max_propagations_per_solve: None,
                 max_iterations: 2000,
             },
@@ -58,7 +57,6 @@ fn chaos_jobs() -> Vec<JobSpec> {
             sequential: Default::default(),
             kind: JobKind::SatAttack {
                 lock: LockSpec::DMux { key_len: 6 },
-                timeout_ms: 600_000,
                 max_propagations_per_solve: None,
                 max_iterations: 2000,
             },

@@ -38,7 +38,6 @@ fn mixed_jobs() -> Vec<JobSpec> {
             sequential: Default::default(),
             kind: JobKind::SatAttack {
                 lock: LockSpec::Xor { key_len: 8 },
-                timeout_ms: 600_000,
                 max_propagations_per_solve: None,
                 max_iterations: 2000,
             },
@@ -51,7 +50,6 @@ fn mixed_jobs() -> Vec<JobSpec> {
             sequential: Default::default(),
             kind: JobKind::SatAttack {
                 lock: LockSpec::DMux { key_len: 16 },
-                timeout_ms: 600_000,
                 max_propagations_per_solve: Some(20_000),
                 max_iterations: 30,
             },
@@ -87,7 +85,6 @@ fn mixed_jobs() -> Vec<JobSpec> {
             sequential: Default::default(),
             kind: JobKind::SatAttack {
                 lock: LockSpec::Xor { key_len: 4 },
-                timeout_ms: 1000,
                 max_propagations_per_solve: None,
                 max_iterations: 10,
             },
@@ -571,7 +568,6 @@ fn sat_job_resumes_from_a_mid_run_checkpoint_bit_identically() {
         let locked = lock.apply(&netlist, &mut rng).unwrap();
         let attack = SatAttack::new(SatAttackConfig {
             max_iterations: 2000,
-            timeout_ms: 600_000,
             max_propagations_per_solve: None,
             checkpoint_conflicts: Some(granule),
         });
@@ -601,6 +597,33 @@ fn sat_job_resumes_from_a_mid_run_checkpoint_bit_identically() {
 
     let _ = fs::remove_dir_all(&dir_a);
     let _ = fs::remove_dir_all(&dir_b);
+}
+
+/// A spec written before SAT budgets counted only work still carries the
+/// retired wall-clock `timeout_ms` field. It deserializes, the field is
+/// ignored (here a 1 ms deadline the attack would once have hit), and the
+/// job runs to a row byte-identical to the same spec without it.
+#[test]
+fn stale_timeout_ms_field_is_ignored() {
+    let job = &mixed_jobs()[0]; // sat-easy
+    let json = serde_json::to_string(job).unwrap();
+    let stale_json = json.replacen("\"SatAttack\":{", "\"SatAttack\":{\"timeout_ms\":1,", 1);
+    assert_ne!(stale_json, json, "the field must land in the SAT kind");
+    let stale: JobSpec = serde_json::from_str(&stale_json).unwrap();
+    assert_eq!(&stale, job);
+
+    let mut streams = Vec::new();
+    for (tag, spec) in [("spec_now", job), ("spec_stale", &stale)] {
+        let dir = scratch(tag);
+        let rows = JobEngine::new(EngineConfig::rooted(&dir, 1))
+            .unwrap()
+            .run(std::slice::from_ref(spec))
+            .unwrap();
+        assert_eq!(rows[0].status, JobStatus::Ok);
+        streams.push(fs::read(dir.join("rows.jsonl")).unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+    assert_eq!(streams[0], streams[1], "rows must be byte-identical");
 }
 
 /// A corrupt (here: truncated mid-record) GA checkpoint is detected,
@@ -686,7 +709,6 @@ fn poison_job_is_quarantined_after_exhausting_retries() {
         sequential: Default::default(),
         kind: JobKind::SatAttack {
             lock: LockSpec::Xor { key_len: 4 },
-            timeout_ms: 600_000,
             max_propagations_per_solve: None,
             max_iterations: 2000,
         },

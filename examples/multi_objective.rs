@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         MuxLinkConfig::fast(),
         SatAttackConfig {
             max_iterations: 100,
-            timeout_ms: 10_000,
             max_propagations_per_solve: None,
             ..SatAttackConfig::default()
         },

@@ -15,7 +15,6 @@ use rand_chacha::ChaCha8Rng;
 fn report(label: &str, original: &Netlist, locked: &LockedNetlist) {
     let attack = SatAttack::new(SatAttackConfig {
         max_iterations: 1000,
-        timeout_ms: 60_000,
         max_propagations_per_solve: None,
         ..SatAttackConfig::default()
     });

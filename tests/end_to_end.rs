@@ -157,7 +157,6 @@ fn evolved_locking_can_still_be_attacked_by_sat_with_oracle() {
     let result = AutoLock::new(config).run(&original).unwrap();
     let outcome = SatAttack::new(SatAttackConfig {
         max_iterations: 300,
-        timeout_ms: 60_000,
         max_propagations_per_solve: None,
         ..SatAttackConfig::default()
     })
