@@ -27,11 +27,8 @@ use crate::features::{FeatureMode, LinkFeatureConfig, LinkFeatureExtractor};
 use crate::report::{AttackOutcome, KeyGuess};
 use crate::view::LinkView;
 use crate::KeyRecoveryAttack;
-use autolock_gnn::{
-    Dgcnn, DgcnnConfig, GraphSource, LinkPredictor, SortPoolK, SourceTensor, SubgraphTensor,
-};
+use autolock_gnn::{Dgcnn, DgcnnConfig, GraphSource, SortPoolK, SubgraphTensor};
 use autolock_locking::LockedNetlist;
-use autolock_mlcore::scratch::ScratchPool;
 use autolock_mlcore::{Dataset, MlpConfig, MlpEnsemble, MlpEnsembleConfig};
 use autolock_netlist::graph::EnclosingSubgraph;
 use autolock_netlist::{GateId, Netlist};
@@ -39,6 +36,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -282,8 +280,8 @@ type LinkExample = (GateId, GateId, bool);
 ///
 /// Each example's tensor is built on demand from the attack instance's
 /// subgraph cache (the extraction BFS runs at most once per example — the
-/// constructor warms the cache) and its storage cycles through a scratch
-/// pool. Tensor construction is deterministic, so the source is pure and the
+/// constructor warms the cache) and dropped once its example's pass ends.
+/// Tensor construction is deterministic, so the source is pure and the
 /// streamed trainer's bit-for-bit contract applies: at no point does the
 /// whole training tensor set exist in memory, which is what lets
 /// `MuxLinkBackend::Gnn` train on the structured (ISCAS-scale) suite tier.
@@ -292,7 +290,6 @@ struct StreamedLinkSource<'a> {
     view: &'a LinkView<'a>,
     examples: Vec<LinkExample>,
     node_counts: Vec<usize>,
-    scratch: ScratchPool,
 }
 
 impl<'a> StreamedLinkSource<'a> {
@@ -311,7 +308,6 @@ impl<'a> StreamedLinkSource<'a> {
             view,
             examples,
             node_counts,
-            scratch: ScratchPool::new(),
         }
     }
 }
@@ -329,19 +325,14 @@ impl GraphSource for StreamedLinkSource<'_> {
         self.node_counts[idx]
     }
 
-    fn tensor(&self, idx: usize) -> SourceTensor<'_> {
+    fn tensor(&self, idx: usize) -> Cow<'_, SubgraphTensor> {
         let (u, v, wire) = self.examples[idx];
         let sg = self.attack.subgraph(self.view, u, v, wire);
-        SourceTensor::Owned(SubgraphTensor::from_enclosing_pooled(
+        Cow::Owned(SubgraphTensor::from_enclosing(
             self.view.netlist,
             &sg,
             self.attack.config.features.max_drnl,
-            &self.scratch,
         ))
-    }
-
-    fn recycle(&self, tensor: SubgraphTensor) {
-        tensor.recycle(&self.scratch);
     }
 }
 
@@ -571,9 +562,8 @@ impl MuxLinkAttack {
             MuxLinkBackend::Gnn => {
                 // The streamed training set: tensors are built per
                 // mini-batch chunk from the cached enclosing subgraphs and
-                // recycled after each example's gradients reduce, so peak
-                // memory is one chunk of tensors — never the whole sampled
-                // set.
+                // dropped after each example's pass, so peak memory is one
+                // chunk of tensors — never the whole sampled set.
                 let source = StreamedLinkSource::new(self, view, examples);
                 let max_drnl = self.config.features.max_drnl;
                 // Resolve the SortPooling size against the sampled training
@@ -591,9 +581,6 @@ impl MuxLinkAttack {
                     rng,
                 );
                 model.train_source(&source, rng);
-                // ScratchPool occupancy after training = how many
-                // streamed-tensor buffers the run ended up recycling.
-                autolock_obs::gauge("gnn.scratch_retained").set(source.scratch.retained() as f64);
                 TrainedLinkModel::Gnn { model }
             }
         }

@@ -413,21 +413,21 @@ impl SatAttack {
                             Self::add_io_constraint(
                                 &mut state.miter,
                                 netlist,
-                                enc,
                                 &state.pis,
                                 &state.keys,
                                 &state.outs,
+                                state.keys.iter().map(|&k| enc.var(k)),
                                 &dip,
                                 &response,
                             );
                         }
-                        Self::add_io_constraint_new_copy(
+                        Self::add_io_constraint(
                             &mut state.key_solver,
                             netlist,
                             &state.pis,
                             &state.keys,
                             &state.outs,
-                            &state.key_vars,
+                            state.key_vars.iter().copied(),
                             &dip,
                             &response,
                         );
@@ -531,16 +531,17 @@ impl SatAttack {
 
     /// Adds, to `solver`, a fresh copy of the validated `netlist` whose
     /// primary inputs are fixed to `dip`, whose outputs are fixed to
-    /// `response`, and whose key inputs are tied to the key variables of the
-    /// existing encoder `enc`.
+    /// `response`, and whose key inputs are tied, in order, to `key_vars`:
+    /// the key variables of an existing miter copy, or the key solver's
+    /// shared ones.
     #[allow(clippy::too_many_arguments)]
     fn add_io_constraint(
         solver: &mut Solver,
         netlist: &Netlist,
-        enc: &CircuitEncoder,
         pis: &[GateId],
         keys: &[GateId],
         outs: &[GateId],
+        key_vars: impl IntoIterator<Item = Var>,
         dip: &[bool],
         response: &[bool],
     ) {
@@ -551,32 +552,7 @@ impl SatAttack {
         for (&o, &value) in outs.iter().zip(response) {
             copy.assert_value(solver, o, value);
         }
-        for &k in keys {
-            copy.assert_equal(solver, k, enc, k);
-        }
-    }
-
-    /// Adds an I/O-constrained circuit copy to the key solver, tying its key
-    /// inputs to the shared key variables.
-    #[allow(clippy::too_many_arguments)]
-    fn add_io_constraint_new_copy(
-        solver: &mut Solver,
-        netlist: &Netlist,
-        pis: &[GateId],
-        keys: &[GateId],
-        outs: &[GateId],
-        key_vars: &[autolock_satsolver::Var],
-        dip: &[bool],
-        response: &[bool],
-    ) {
-        let copy = CircuitEncoder::encode_validated(solver, netlist);
-        for (&pi, &value) in pis.iter().zip(dip) {
-            copy.assert_value(solver, pi, value);
-        }
-        for (&o, &value) in outs.iter().zip(response) {
-            copy.assert_value(solver, o, value);
-        }
-        for (&k, &v) in keys.iter().zip(key_vars) {
+        for (&k, v) in keys.iter().zip(key_vars) {
             let a = copy.lit(k, true);
             let b = Lit::pos(v);
             solver.add_clause(&[!a, b]);

@@ -15,14 +15,12 @@
 
 use autolock_bench::results_dir;
 use autolock_bench::trajectory::{median_ns, BenchEntry, BenchTrajectory};
-use autolock_gnn::{
-    Dgcnn, DgcnnConfig, GraphConv, GraphSource, LinkPredictor, SortPooling, SourceTensor,
-    SubgraphTensor,
-};
+use autolock_gnn::{Dgcnn, DgcnnConfig, GraphConv, GraphSource, SortPooling, SubgraphTensor};
 use autolock_mlcore::Matrix;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 use std::hint::black_box;
 
 /// CI smoke mode: fewer samples, smaller batches, same coverage.
@@ -179,8 +177,8 @@ impl GraphSource for RebuildSource {
         self.graphs[idx].num_nodes()
     }
 
-    fn tensor(&self, idx: usize) -> SourceTensor<'_> {
-        SourceTensor::Owned(self.graphs[idx].clone())
+    fn tensor(&self, idx: usize) -> Cow<'_, SubgraphTensor> {
+        Cow::Owned(self.graphs[idx].clone())
     }
 }
 

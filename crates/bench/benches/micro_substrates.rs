@@ -1,4 +1,4 @@
-//! Micro-benchmarks of the substrates (B1–B4 in `EXPERIMENTS.md`):
+//! Micro-benchmarks of the substrates, B1–B4 below:
 //! netlist parsing/simulation, SAT solving, enclosing-subgraph feature
 //! extraction and one GA generation step.
 

@@ -1,8 +1,9 @@
-//! Experiment implementations (one per table/figure in `EXPERIMENTS.md`).
+//! Experiment implementations: the E-series, one function per table (see
+//! "The E-series" in `crates/bench/README.md`).
 //!
-//! Each function is pure computation returning a [`ResultTable`]; the
-//! `exp_e*` binaries wrap them with output handling, and the Criterion
-//! benches time representative slices of them.
+//! Each function is pure computation returning a [`ResultTable`]; the `exp`
+//! binary (`exp <id>`, e.g. `exp e12`) runs one of them with output
+//! handling, and the Criterion benches time representative slices of them.
 
 use crate::{
     experiment_suite_scale, experiment_threads, parallel_map, pct, peak_rss_mb, ResultTable, Scale,

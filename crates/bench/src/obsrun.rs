@@ -1,4 +1,4 @@
-//! Per-driver observability scope: every `exp_e*` binary opens an [`ObsRun`]
+//! Per-driver observability scope: the `exp` binary opens an [`ObsRun`]
 //! before doing work and lets it drop at exit, which writes the run's
 //! provenance manifest and span trace under `<results>/obs/`:
 //!

@@ -23,7 +23,7 @@
 //!    top-`k` rows are kept (zero-padded below `k`), producing a fixed-size
 //!    representation of a variable-size graph through which gradients flow.
 //! 4. **[`DenseStack`]** — a small ReLU classification head ending in one
-//!    logit; [`LinkPredictor::score`] applies a sigmoid for the link
+//!    logit; [`Dgcnn::score`] applies a sigmoid for the link
 //!    probability.
 //! 5. **[`Dgcnn`]** — the full model with mini-batch Adam training
 //!    ([`autolock_mlcore::optim`]) and backpropagation through the dense
@@ -35,15 +35,15 @@
 //!    on ISCAS-scale netlists. The slice API ([`Dgcnn::train`]) wraps the
 //!    same pipeline via [`SliceSource`].
 //!
-//! The [`LinkPredictor`] trait is the integration point consumed by
-//! `autolock_attacks`' `MuxLinkBackend::Gnn`: it exposes exactly the
-//! train-on-links / score-a-link surface the attack needs, so MLP and GNN
-//! backends can be compared head-to-head in the E-series experiments.
+//! `autolock_attacks`' `MuxLinkBackend::Gnn` drives [`Dgcnn`] directly:
+//! [`Dgcnn::train_source`] on its streamed training links, then
+//! [`Dgcnn::score_batch`] on the candidate links, so MLP and GNN backends
+//! can be compared head-to-head in the E-series experiments.
 //!
 //! # Example
 //!
 //! ```
-//! use autolock_gnn::{Dgcnn, DgcnnConfig, LinkPredictor, SubgraphTensor};
+//! use autolock_gnn::{Dgcnn, DgcnnConfig, SubgraphTensor};
 //! use autolock_netlist::graph::CsrGraph;
 //! use autolock_netlist::{GateKind, Netlist};
 //! use rand::SeedableRng;
@@ -62,7 +62,7 @@
 //! let tensor = SubgraphTensor::from_enclosing(&nl, &sg, 8);
 //!
 //! let mut rng = ChaCha8Rng::seed_from_u64(1);
-//! let mut model = Dgcnn::new(DgcnnConfig::for_features(tensor.feature_dim()), &mut rng);
+//! let model = Dgcnn::new(DgcnnConfig::for_features(tensor.feature_dim()), &mut rng);
 //! let p = model.score(&tensor);
 //! assert!((0.0..=1.0).contains(&p));
 //! ```
@@ -82,28 +82,5 @@ pub use conv::{ConvCache, ConvGrads, GraphConv};
 pub use dense::{DenseCache, DenseGrads, DenseStack, HeadFactors};
 pub use model::{Dgcnn, DgcnnConfig};
 pub use sortpool::{SortPoolCache, SortPoolK, SortPooling};
-pub use stream::{GraphSource, SliceSource, SourceTensor};
+pub use stream::{GraphSource, SliceSource};
 pub use tensor::SubgraphTensor;
-
-use rand::RngCore;
-
-/// A trainable scorer of candidate links represented as enclosing-subgraph
-/// tensors. `autolock_attacks` drives its GNN MuxLink backend through this
-/// trait.
-pub trait LinkPredictor {
-    /// Trains on `(graph, label)` pairs; `labels[i]` is 1.0 for a true link
-    /// and 0.0 for a non-link. Returns the mean training loss of the final
-    /// epoch.
-    fn fit(&mut self, graphs: &[SubgraphTensor], labels: &[f64], rng: &mut dyn RngCore) -> f64;
-
-    /// Probability in `[0, 1]` that the candidate link is real.
-    fn score(&self, graph: &SubgraphTensor) -> f64;
-
-    /// Scores a batch of candidate links; `out[i]` corresponds to
-    /// `graphs[i]`. Implementations may parallelize but must return exactly
-    /// the values the serial [`Self::score`] loop would (the default does
-    /// just that).
-    fn score_batch(&self, graphs: &[SubgraphTensor]) -> Vec<f64> {
-        graphs.iter().map(|g| self.score(g)).collect()
-    }
-}

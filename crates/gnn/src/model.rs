@@ -3,15 +3,15 @@
 use crate::conv::{ConvCache, ConvGrads, GraphConv};
 use crate::dense::{DenseGrads, DenseStack, HeadFactors};
 use crate::sortpool::{SortPoolK, SortPooling};
-use crate::stream::{GraphSource, SliceSource, SourceTensor};
-use crate::{LinkPredictor, SubgraphTensor};
+use crate::stream::{GraphSource, SliceSource};
+use crate::SubgraphTensor;
 use autolock_mlcore::optim::AdamParams;
 use autolock_mlcore::parallel::pooled_map;
 use autolock_mlcore::{binary_cross_entropy, sigmoid, Matrix};
 use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Hyper-parameters of a [`Dgcnn`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -291,10 +291,10 @@ impl Dgcnn {
     /// The streamed training pipeline: examples are pulled from `source` one
     /// mini-batch chunk at a time, so at most one chunk of subgraph tensors
     /// (plus its per-example gradients) is alive at any moment — peak
-    /// memory no longer scales with the training-set size. Owned tensors are
-    /// recycled back into the source the moment their example's pass
-    /// finishes; per-example forward/backward intermediates drop inside the
-    /// worker closure, before gradient reduction.
+    /// memory no longer scales with the training-set size. Owned tensors
+    /// drop the moment their example's pass finishes, as do the per-example
+    /// forward/backward intermediates, all inside the worker closure and
+    /// before gradient reduction.
     ///
     /// Determinism: per-example passes within a chunk fan across
     /// `config.num_threads` rayon threads through the order-preserving
@@ -333,16 +333,15 @@ impl Dgcnn {
                 examples.add(batch.len() as u64);
                 // Fan the independent per-example passes across the shared
                 // pooled map (order-preserving): each worker materializes
-                // its example's tensor, runs the pass, and recycles the
+                // its example's tensor, runs the pass, and drops the
                 // tensor before returning — only the loss, the conv
                 // gradients and the head factors survive into the
                 // reduction, which stays serial and in example order.
                 let passes: Vec<ExampleGrads> = pooled_map(self.config.num_threads, batch, |&i| {
                     let tensor = source.tensor(i);
                     let pass = self.forward_backward(&tensor, source.label(i));
-                    if let SourceTensor::Owned(t) = tensor {
+                    if let Cow::Owned(_) = tensor {
                         rebuilds.incr();
-                        source.recycle(t);
                     }
                     pass
                 });
@@ -366,6 +365,21 @@ impl Dgcnn {
             last_epoch_loss = epoch_loss / source.len() as f64;
         }
         last_epoch_loss
+    }
+
+    /// Probability in `[0, 1]` that the candidate link is real.
+    pub fn score(&self, graph: &SubgraphTensor) -> f64 {
+        sigmoid(self.logit(graph))
+    }
+
+    /// Scores a batch of candidate links (`out[i]` belongs to `graphs[i]`),
+    /// fanning the independent forward passes across `config.num_threads`
+    /// rayon threads. Output order (and every value, bit-for-bit) matches
+    /// the serial [`Self::score`] loop.
+    pub fn score_batch(&self, graphs: &[SubgraphTensor]) -> Vec<f64> {
+        let _span = autolock_obs::span!("gnn.score_chunk");
+        autolock_obs::counter("gnn.scored_links").add(graphs.len() as u64);
+        pooled_map(self.config.num_threads, graphs, |g| self.score(g))
     }
 
     /// Mean binary cross-entropy over a labelled set (no training).
@@ -411,26 +425,5 @@ impl Dgcnn {
     /// The loss of one example (for finite differences).
     pub fn example_loss(&self, graph: &SubgraphTensor, label: f64) -> f64 {
         binary_cross_entropy(self.score(graph), label)
-    }
-}
-
-impl LinkPredictor for Dgcnn {
-    fn fit(&mut self, graphs: &[SubgraphTensor], labels: &[f64], rng: &mut dyn RngCore) -> f64 {
-        // Derive an owned RNG so `dyn RngCore` callers stay deterministic.
-        let mut rng = ChaCha8Rng::seed_from_u64(rng.next_u64());
-        self.train(graphs, labels, &mut rng)
-    }
-
-    fn score(&self, graph: &SubgraphTensor) -> f64 {
-        sigmoid(self.logit(graph))
-    }
-
-    /// Scores a batch of candidate links, fanning the independent forward
-    /// passes across `config.num_threads` rayon threads. Output order (and
-    /// every value, bit-for-bit) matches the serial [`Self::score`] loop.
-    fn score_batch(&self, graphs: &[SubgraphTensor]) -> Vec<f64> {
-        let _span = autolock_obs::span!("gnn.score_chunk");
-        autolock_obs::counter("gnn.scored_links").add(graphs.len() as u64);
-        pooled_map(self.config.num_threads, graphs, |g| sigmoid(self.logit(g)))
     }
 }

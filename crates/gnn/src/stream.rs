@@ -6,9 +6,8 @@
 //! of nodes, so that tensor set — not the model — was the memory hog that
 //! kept the DGCNN backend off the structured suite tier. A [`GraphSource`]
 //! inverts the ownership: training asks for example `i`'s tensor when (and
-//! only when) a worker is about to run its forward/backward pass, and hands
-//! the tensor back through [`GraphSource::recycle`] as soon as the example's
-//! gradients have been reduced. Peak tensor memory becomes
+//! only when) a worker is about to run its forward/backward pass, and drops
+//! an owned tensor as soon as that pass ends. Peak tensor memory becomes
 //! `O(concurrent workers)` instead of `O(training set)`.
 //!
 //! Determinism: the source is **pure** — `tensor(i)` must return the same
@@ -20,27 +19,7 @@
 //! materialized with exact equality.
 
 use crate::SubgraphTensor;
-use std::ops::Deref;
-
-/// A tensor handed out by a [`GraphSource`]: borrowed from a materialized
-/// set, or freshly built (and recyclable) by a streaming source.
-pub enum SourceTensor<'a> {
-    /// A reference into an already-materialized training set.
-    Borrowed(&'a SubgraphTensor),
-    /// A tensor built on demand; give it back via [`GraphSource::recycle`].
-    Owned(SubgraphTensor),
-}
-
-impl Deref for SourceTensor<'_> {
-    type Target = SubgraphTensor;
-
-    fn deref(&self) -> &SubgraphTensor {
-        match self {
-            SourceTensor::Borrowed(t) => t,
-            SourceTensor::Owned(t) => t,
-        }
-    }
-}
+use std::borrow::Cow;
 
 /// A labelled training set served one example at a time.
 ///
@@ -63,15 +42,10 @@ pub trait GraphSource: Sync {
     /// tensor — what adaptive SortPooling's percentile rule needs.
     fn num_nodes(&self, idx: usize) -> usize;
 
-    /// The tensor of example `idx`. Must be pure (identical values on every
-    /// call); called once per example per epoch by the streamed trainer.
-    fn tensor(&self, idx: usize) -> SourceTensor<'_>;
-
-    /// Returns an [`SourceTensor::Owned`] tensor's storage to the source
-    /// (e.g. into a scratch pool). The default drops it.
-    fn recycle(&self, tensor: SubgraphTensor) {
-        drop(tensor);
-    }
+    /// The tensor of example `idx`: borrowed from a materialized set, or
+    /// built on demand. Must be pure (identical values on every call);
+    /// called once per example per epoch by the streamed trainer.
+    fn tensor(&self, idx: usize) -> Cow<'_, SubgraphTensor>;
 }
 
 /// The materialized-set adaptor: serves borrowed tensors straight from
@@ -107,8 +81,8 @@ impl GraphSource for SliceSource<'_> {
         self.graphs[idx].num_nodes()
     }
 
-    fn tensor(&self, idx: usize) -> SourceTensor<'_> {
-        SourceTensor::Borrowed(&self.graphs[idx])
+    fn tensor(&self, idx: usize) -> Cow<'_, SubgraphTensor> {
+        Cow::Borrowed(&self.graphs[idx])
     }
 }
 
@@ -133,7 +107,7 @@ mod tests {
         assert_eq!(source.num_nodes(1), 5);
         let t = source.tensor(0);
         assert_eq!(t.num_nodes(), 3);
-        assert!(matches!(t, SourceTensor::Borrowed(_)));
+        assert!(matches!(t, Cow::Borrowed(_)));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Enclosing subgraphs as tensors: normalized adjacency + node features.
 
-use autolock_mlcore::scratch::ScratchPool;
 use autolock_mlcore::Matrix;
 use autolock_netlist::graph::EnclosingSubgraph;
 use autolock_netlist::{GateKind, Netlist};
@@ -37,60 +36,19 @@ impl SubgraphTensor {
     /// and is normalized by the (self-loop-augmented) degree, so each
     /// convolution averages over the closed neighbourhood.
     pub fn from_enclosing(netlist: &Netlist, sg: &EnclosingSubgraph, max_drnl: usize) -> Self {
-        Self::assemble(netlist, sg, max_drnl, None)
-    }
-
-    /// [`Self::from_enclosing`] with all storage drawn from (and transient
-    /// buffers returned to) a [`ScratchPool`] — the allocation-free hot path
-    /// of streamed training. The produced tensor is **bit-for-bit identical**
-    /// to the unpooled constructor's (recycled buffers are fully
-    /// overwritten); give its storage back with [`Self::recycle`] once the
-    /// example is consumed.
-    pub fn from_enclosing_pooled(
-        netlist: &Netlist,
-        sg: &EnclosingSubgraph,
-        max_drnl: usize,
-        scratch: &ScratchPool,
-    ) -> Self {
-        Self::assemble(netlist, sg, max_drnl, Some(scratch))
-    }
-
-    /// Returns this tensor's heap storage to a scratch pool for reuse by the
-    /// next [`Self::from_enclosing_pooled`] call.
-    pub fn recycle(self, scratch: &ScratchPool) {
-        scratch.put_f64(self.x.into_vec());
-        scratch.put_f64(self.val);
-        scratch.put_usize(self.col);
-        scratch.put_usize(self.row_ptr);
-    }
-
-    fn assemble(
-        netlist: &Netlist,
-        sg: &EnclosingSubgraph,
-        max_drnl: usize,
-        scratch: Option<&ScratchPool>,
-    ) -> Self {
-        let take_f64 = |len: usize| match scratch {
-            Some(pool) => pool.take_f64(len),
-            None => vec![0.0; len],
-        };
-        let take_usize = |len: usize| match scratch {
-            Some(pool) => pool.take_usize(len),
-            None => vec![0usize; len],
-        };
         let n = sg.nodes.len();
         let max_drnl = max_drnl.max(1);
         let f = GateKind::NUM_CODES + max_drnl + 1;
 
         // Local degrees (within the subgraph).
-        let mut degree = take_usize(n);
+        let mut degree = vec![0usize; n];
         for &(i, j) in &sg.edges {
             degree[i] += 1;
             degree[j] += 1;
         }
         let max_degree = degree.iter().copied().max().unwrap_or(0).max(1) as f64;
 
-        let mut x = Matrix::from_vec(n, f, take_f64(n * f));
+        let mut x = Matrix::zeros(n, f);
         for (idx, &node) in sg.nodes.iter().enumerate() {
             let row = x.row_mut(idx);
             row[netlist.gate(node).kind.code()] = 1.0;
@@ -102,7 +60,7 @@ impl SubgraphTensor {
         // Â = D̃⁻¹ (A + I) with D̃_ii = degree_i + 1 (self-loop included),
         // assembled straight into CSR: count entries per row, prefix-sum into
         // row_ptr, then scatter (self-loop first, then incident edges).
-        let mut row_ptr = take_usize(n + 1);
+        let mut row_ptr = vec![0usize; n + 1];
         for (i, &d) in degree.iter().enumerate() {
             row_ptr[i + 1] = d + 1; // self-loop + incident edges
         }
@@ -110,10 +68,9 @@ impl SubgraphTensor {
             row_ptr[i + 1] += row_ptr[i];
         }
         let nnz = row_ptr[n];
-        let mut col = take_usize(nnz);
-        let mut val = take_f64(nnz);
-        let mut cursor = take_usize(n);
-        cursor.copy_from_slice(&row_ptr[..n]);
+        let mut col = vec![0usize; nnz];
+        let mut val = vec![0.0; nnz];
+        let mut cursor = row_ptr[..n].to_vec();
         for (i, c) in cursor.iter_mut().enumerate() {
             col[*c] = i;
             *c += 1;
@@ -129,10 +86,6 @@ impl SubgraphTensor {
             for v in &mut val[row_ptr[i]..row_ptr[i + 1]] {
                 *v = norm;
             }
-        }
-        if let Some(pool) = scratch {
-            pool.put_usize(degree);
-            pool.put_usize(cursor);
         }
         SubgraphTensor {
             x,
@@ -342,25 +295,6 @@ mod tests {
             assert_eq!(shifted.adj_row(i), t.adj_row(i));
             assert_eq!(shifted.features().get(i, 0), t.features().get(i, 0) + 1.0);
         }
-    }
-
-    #[test]
-    fn pooled_construction_is_bit_identical_and_recycles() {
-        let (nl, t) = tiny();
-        let (a, g) = (nl.find("a").unwrap(), nl.find("g").unwrap());
-        let sg = CsrGraph::from_netlist(&nl).enclosing_subgraph(a, g, 2, true);
-        let pool = ScratchPool::new();
-        // Two rounds: the second reuses the first round's recycled buffers.
-        for _ in 0..2 {
-            let pooled = SubgraphTensor::from_enclosing_pooled(&nl, &sg, 8, &pool);
-            assert_eq!(pooled.features(), t.features());
-            assert_eq!(pooled.num_entries(), t.num_entries());
-            for i in 0..t.num_nodes() {
-                assert_eq!(pooled.adj_row(i), t.adj_row(i));
-            }
-            pooled.recycle(&pool);
-        }
-        assert!(pool.retained() > 0, "recycled buffers must be retained");
     }
 
     #[test]

@@ -7,15 +7,12 @@
 //! (matmul shapes and exactness against the identity, transpose involution,
 //! CSR propagation vs a dense reference) over random subgraph batches.
 
-use autolock_gnn::{
-    Dgcnn, DgcnnConfig, GraphSource, LinkPredictor, SliceSource, SortPoolK, SourceTensor,
-    SubgraphTensor,
-};
-use autolock_mlcore::scratch::ScratchPool;
+use autolock_gnn::{Dgcnn, DgcnnConfig, GraphSource, SliceSource, SortPoolK, SubgraphTensor};
 use autolock_mlcore::Matrix;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 
 /// Extra thread count folded into every compared set, from the CI
 /// thread-matrix leg's `AUTOLOCK_THREADS`. The dev boxes are single-core;
@@ -164,13 +161,12 @@ fn adaptive_k_training_is_deterministic_across_thread_counts() {
 // Streamed vs materialized training
 // ---------------------------------------------------------------------------
 
-/// A [`GraphSource`] that rebuilds every tensor on demand through a scratch
-/// pool — the shape of the attack crate's cache-backed streaming source,
+/// A [`GraphSource`] that rebuilds every tensor on demand into fresh
+/// storage — the shape of the attack crate's cache-backed streaming source,
 /// without the netlist machinery.
 struct RebuildingSource {
     graphs: Vec<SubgraphTensor>,
     labels: Vec<f64>,
-    scratch: ScratchPool,
 }
 
 impl GraphSource for RebuildingSource {
@@ -186,30 +182,24 @@ impl GraphSource for RebuildingSource {
         self.graphs[idx].num_nodes()
     }
 
-    fn tensor(&self, idx: usize) -> SourceTensor<'_> {
-        // Rebuild the tensor from recycled storage: features and adjacency
-        // copied into buffers drawn from the scratch pool.
+    fn tensor(&self, idx: usize) -> Cow<'_, SubgraphTensor> {
+        // Rebuild the tensor: features and adjacency copied into new buffers.
         let reference = &self.graphs[idx];
         let n = reference.num_nodes();
         let f = reference.feature_dim();
-        let mut x = self.scratch.take_f64(n * f);
-        x.copy_from_slice(reference.features().data());
+        let x = reference.features().data().to_vec();
         let adj: Vec<Vec<(usize, f64)>> = (0..n)
             .map(|i| {
                 let (cols, vals) = reference.adj_row(i);
                 cols.iter().copied().zip(vals.iter().copied()).collect()
             })
             .collect();
-        SourceTensor::Owned(SubgraphTensor::from_parts(Matrix::from_vec(n, f, x), adj))
-    }
-
-    fn recycle(&self, tensor: SubgraphTensor) {
-        tensor.recycle(&self.scratch);
+        Cow::Owned(SubgraphTensor::from_parts(Matrix::from_vec(n, f, x), adj))
     }
 }
 
 /// The tentpole guarantee of the streamed pipeline: training from a source
-/// that materializes (and recycles) one tensor per example per epoch is
+/// that materializes (and drops) one tensor per example per epoch is
 /// **bit-for-bit identical** — final loss, every prediction — to training
 /// on the fully materialized tensor set, at every thread count.
 #[test]
@@ -228,7 +218,6 @@ fn streamed_training_is_bit_identical_to_materialized() {
             let source = RebuildingSource {
                 graphs: graphs.clone(),
                 labels: labels.clone(),
-                scratch: ScratchPool::new(),
             };
             model.train_source(&source, &mut rng)
         } else {

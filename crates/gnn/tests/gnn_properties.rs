@@ -1,7 +1,7 @@
 //! Property tests for the DGCNN: analytic gradients vs finite differences,
 //! determinism under fixed seeds, and end-to-end learnability.
 
-use autolock_gnn::{Dgcnn, DgcnnConfig, LinkPredictor, SortPoolK, SubgraphTensor};
+use autolock_gnn::{Dgcnn, DgcnnConfig, SortPoolK, SubgraphTensor};
 use autolock_mlcore::Matrix;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -155,7 +155,7 @@ fn training_is_deterministic_under_fixed_seed() {
     let run = |seed: u64| -> Vec<f64> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut model = Dgcnn::new(DgcnnConfig::for_features(6), &mut rng);
-        model.fit(&graphs, &labels, &mut rng);
+        model.train(&graphs, &labels, &mut rng);
         graphs.iter().map(|g| model.score(g)).collect()
     };
     let a = run(7);

@@ -3,7 +3,7 @@
 //! parameters and optimizer state, bit-identical scores, and able to keep
 //! training from where it left off.
 
-use autolock_gnn::{Dgcnn, DgcnnConfig, LinkPredictor, SubgraphTensor};
+use autolock_gnn::{Dgcnn, DgcnnConfig, SubgraphTensor};
 use autolock_mlcore::Matrix;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

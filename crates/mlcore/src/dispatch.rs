@@ -21,13 +21,16 @@
 /// portable build otherwise; elsewhere it calls the portable build.
 ///
 /// The wrapper must be an `unsafe fn`: a safe `#[target_feature]` function
-/// needs Rust 1.86, and the CI toolchain is older.
+/// needs Rust 1.86, and the CI toolchain is older. The crate denies
+/// `unsafe_code`; the entry point this macro generates is the one item
+/// that allows it, so hand-written `unsafe` anywhere else fails the build.
 macro_rules! avx2_dispatch {
     (
         $(#[$meta:meta])*
         $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) => $body:path
     ) => {
         $(#[$meta])*
+        #[allow(unsafe_code)]
         $vis fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
             {

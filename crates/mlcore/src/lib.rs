@@ -40,6 +40,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 #[macro_use]
@@ -54,7 +55,6 @@ pub mod metrics;
 mod mlp;
 pub mod optim;
 pub mod parallel;
-pub mod scratch;
 
 pub use dataset::Dataset;
 pub use ensemble::{MlpEnsemble, MlpEnsembleConfig};

@@ -34,9 +34,7 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Consumes the matrix and returns its row-major storage (so streamed
-    /// pipelines can return the buffer to a
-    /// [`crate::scratch::ScratchPool`]).
+    /// Consumes the matrix and returns its row-major storage.
     pub fn into_vec(self) -> Vec<f64> {
         self.data
     }

@@ -16,10 +16,13 @@ use rayon::prelude::*;
 /// the result is identical to the serial loop. Serial for `threads == 1`
 /// and for singleton/empty batches (not worth a pool).
 ///
-/// Building the pool per call is free with the vendored rayon shim (its
-/// `ThreadPool` owns no threads — workers are scoped threads spawned per
-/// parallel call). If the workspace ever swaps in real rayon, hot callers
-/// should hold one pool and `install` their batches into it instead.
+/// Building the pool per call is **not** free: the vendored rayon shim's
+/// `ThreadPool` owns no threads, so every parallel call spawns its scoped
+/// worker threads afresh. For small batches that cost outweighs the work —
+/// `MlpEnsemble::predict_batch` on 64 rows measured 0.65x of serial with 2
+/// threads and 0.51x with 4. One persistent pool, or a serial cut-off for
+/// small batches, is the fix carried in `ROADMAP.md` ("Carried, lower
+/// priority").
 pub fn pooled_map<T: Sync, R: Send>(
     threads: usize,
     items: &[T],

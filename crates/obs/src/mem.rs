@@ -1,7 +1,6 @@
 //! Process memory probe, generalizing the bench crate's old ad-hoc VmHWM
-//! parser: peak RSS, current RSS, and helpers publishing both (plus any
-//! pool-occupancy figure a caller owns, e.g. `ScratchPool::retained()`) as
-//! registry gauges.
+//! parser: peak RSS, current RSS, and a helper publishing both as registry
+//! gauges.
 
 /// A point-in-time memory reading. Fields are `None` where procfs is
 /// unavailable (non-Linux dev machines).

@@ -216,22 +216,58 @@ proptest! {
     fn self_miter_is_unsat(recipe in proptest::collection::vec(any::<u8>(), 1..16)) {
         let nl = netlist_from_recipe(&recipe);
         let mut solver = Solver::new();
-        let a = CircuitEncoder::encode(&mut solver, &nl);
-        let b = CircuitEncoder::encode(&mut solver, &nl);
-        for pi in nl.inputs() {
-            a.assert_equal(&mut solver, pi, &b, pi);
-        }
-        let mut diff = Vec::new();
-        for &o in nl.outputs() {
-            let d = Lit::pos(solver.new_var());
-            let (la, lb) = (a.lit(o, true), b.lit(o, true));
-            solver.add_clause(&[!la, !lb, !d]);
-            solver.add_clause(&[la, lb, !d]);
-            solver.add_clause(&[!la, lb, d]);
-            solver.add_clause(&[la, !lb, d]);
-            diff.push(d);
-        }
-        solver.add_clause(&diff);
+        miter(&mut solver, &nl, &nl);
         prop_assert_eq!(solver.solve(), SolveResult::Unsat);
     }
+
+    /// A miter of two different circuits is satisfiable exactly when some
+    /// input vector tells them apart, and a `Sat` model's inputs are such a
+    /// vector.
+    #[test]
+    fn miter_of_two_circuits_matches_simulation(
+        recipe_a in proptest::collection::vec(any::<u8>(), 1..16),
+        recipe_b in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let (nl_a, nl_b) = (netlist_from_recipe(&recipe_a), netlist_from_recipe(&recipe_b));
+        let bits = |assignment: u8| -> Vec<bool> {
+            (0..4).map(|i| (assignment >> i) & 1 == 1).collect()
+        };
+        let differs = |input: &[bool]| nl_a.evaluate(input).unwrap() != nl_b.evaluate(input).unwrap();
+        let distinguishable = (0u8..16).any(|assignment| differs(&bits(assignment)));
+
+        let mut solver = Solver::new();
+        let enc_a = miter(&mut solver, &nl_a, &nl_b);
+        let result = solver.solve();
+        prop_assert_eq!(result == SolveResult::Sat, distinguishable);
+        if result == SolveResult::Sat {
+            let input: Vec<bool> = nl_a
+                .inputs()
+                .iter()
+                .map(|&pi| solver.value(enc_a.var(pi)).unwrap())
+                .collect();
+            prop_assert!(differs(&input), "model input {:?} does not distinguish", input);
+        }
+    }
+}
+
+/// Encodes `a` and `b` into `solver` with their primary inputs tied in order
+/// and a clause requiring some output pair to differ; returns `a`'s encoder.
+fn miter(solver: &mut Solver, a: &Netlist, b: &Netlist) -> CircuitEncoder {
+    let enc_a = CircuitEncoder::encode(solver, a);
+    let enc_b = CircuitEncoder::encode(solver, b);
+    for (pa, pb) in a.inputs().into_iter().zip(b.inputs()) {
+        enc_a.assert_equal(solver, pa, &enc_b, pb);
+    }
+    let mut diff = Vec::new();
+    for (&oa, &ob) in a.outputs().iter().zip(b.outputs()) {
+        let d = Lit::pos(solver.new_var());
+        let (la, lb) = (enc_a.lit(oa, true), enc_b.lit(ob, true));
+        solver.add_clause(&[!la, !lb, !d]);
+        solver.add_clause(&[la, lb, !d]);
+        solver.add_clause(&[!la, lb, d]);
+        solver.add_clause(&[la, !lb, d]);
+        diff.push(d);
+    }
+    solver.add_clause(&diff);
+    enc_a
 }
