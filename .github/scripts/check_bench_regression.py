@@ -19,7 +19,7 @@ Rules (the 1.5x floor logic, applied both absolutely and to the diff):
   so falling below 1.5x is a real regression), and
   `gnn_train_epoch_streamed` must hold >= 0.5x the materialized training
   path (streaming trades peak memory for at most a modest constant factor;
-  it measures ~0.95x, so dropping below half speed means the streamed
+  it measures ~0.9x, so dropping below half speed means the streamed
   pipeline itself regressed). Both are same-machine ratios, so they
   transfer across runners. Hard-floor keys are only required in the pair
   whose baseline contains them.

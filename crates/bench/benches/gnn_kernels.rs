@@ -89,7 +89,7 @@ fn bench_sortpool(c: &mut Criterion) {
     let pool = SortPooling::new(10);
     let mut group = c.benchmark_group("G2_sortpool");
     group.bench_function("forward_60n_33f_k10", |b| {
-        b.iter(|| pool.forward(black_box(graph.features())))
+        b.iter(|| pool.forward(black_box(graph.features()), 0..60))
     });
     group.finish();
 }

@@ -1,7 +1,8 @@
 //! The DGCNN spatial graph-convolution layer.
 
+use crate::buffers::Buffers;
 use crate::SubgraphTensor;
-use autolock_mlcore::kernels::tanh_in_place;
+use autolock_mlcore::kernels::{self, tanh_in_place};
 use autolock_mlcore::optim::{AdamParams, AdamState, AdamVecState};
 use autolock_mlcore::Matrix;
 use rand::Rng;
@@ -94,11 +95,33 @@ impl GraphConv {
         self.weights.cols()
     }
 
-    /// Forward pass over one subgraph.
+    /// Forward pass over one subgraph, or over a mini-batch's disjoint
+    /// union: one propagate, one `ÂX·W` product and one bias + `tanh`
+    /// epilogue over every row.
     pub fn forward(&self, graph: &SubgraphTensor, x: &Matrix) -> ConvCache {
-        let aggregated = graph.propagate(x);
-        let mut z = aggregated.matmul(&self.weights);
-        for r in 0..z.rows() {
+        self.forward_in(graph, x, &mut Buffers::default())
+    }
+
+    /// [`Self::forward`] with the cache's matrices taken from `buffers`.
+    pub(crate) fn forward_in(
+        &self,
+        graph: &SubgraphTensor,
+        x: &Matrix,
+        buffers: &mut Buffers,
+    ) -> ConvCache {
+        let n = graph.num_nodes();
+        let mut aggregated = buffers.zeros(n, self.in_dim());
+        graph.propagate_into(x, &mut aggregated);
+        let mut z = buffers.zeros(n, self.out_dim());
+        kernels::matmul_nn(
+            n,
+            self.in_dim(),
+            self.out_dim(),
+            aggregated.data(),
+            self.weights.data(),
+            z.data_mut(),
+        );
+        for r in 0..n {
             let row = z.row_mut(r);
             for (v, b) in row.iter_mut().zip(&self.bias) {
                 *v += b;
@@ -111,52 +134,95 @@ impl GraphConv {
         }
     }
 
-    /// Backward pass: given dL/d(output), returns the parameter gradients and
-    /// dL/d(input): the parameter half followed by the input half.
+    /// Backward pass over one subgraph: given dL/d(output), returns the
+    /// parameter gradients and dL/d(input): the parameter half followed by
+    /// the input half.
     pub fn backward(
         &self,
         graph: &SubgraphTensor,
         cache: &ConvCache,
         grad_output: &Matrix,
     ) -> (ConvGrads, Matrix) {
-        let (grads, grad_z) = self.param_backward(cache, grad_output.clone());
-        (grads, self.input_backward(graph, &grad_z))
+        let (mut grads, grad_z) =
+            self.param_backward(cache, grad_output.clone(), &[0, graph.num_nodes()]);
+        let grads = grads.pop().expect("one example");
+        let grad_input = self.input_backward(graph, &grad_z, &mut Buffers::default());
+        (grads, grad_input)
     }
 
-    /// The parameter half of the backward pass: turns dL/d(output), passed
-    /// in `grad_z`, into dL/dZ in place (the pre-activation gradient that the
-    /// input half consumes) and returns the parameter gradients with it.
+    /// The parameter half of the backward pass over a batch whose example
+    /// `e` owns rows `offsets[e]..offsets[e + 1]`: turns dL/d(output),
+    /// passed in `grad_z`, into dL/dZ in place (the pre-activation gradient
+    /// that the input half consumes) and returns each example's parameter
+    /// gradients with it.
+    ///
+    /// The gradients stay per example: each is one `Aᵀ·dZ` product over the
+    /// example's own rows, accumulated from `0.0`, and its bias the sum of
+    /// those rows. Summing them in example order is then the same
+    /// arithmetic for any split of a mini-batch into batches, where one
+    /// product over the whole union would round differently.
     pub(crate) fn param_backward(
         &self,
         cache: &ConvCache,
         mut grad_z: Matrix,
-    ) -> (ConvGrads, Matrix) {
+        offsets: &[usize],
+    ) -> (Vec<ConvGrads>, Matrix) {
         // Through tanh: dZ = dOut ∘ (1 - out²).
         for (g, &o) in grad_z.data_mut().iter_mut().zip(cache.output.data()) {
             *g *= 1.0 - o * o;
         }
-        let grad_w = cache.aggregated.matmul_tn(&grad_z);
-        let mut grad_b = vec![0.0; self.bias.len()];
-        for r in 0..grad_z.rows() {
-            for (b, g) in grad_b.iter_mut().zip(grad_z.row(r)) {
-                *b += g;
-            }
-        }
-        let grads = ConvGrads {
-            weights: grad_w,
-            bias: grad_b,
-        };
+        let (in_dim, out_dim) = (self.in_dim(), self.out_dim());
+        let grads = offsets
+            .windows(2)
+            .map(|span| {
+                let (r0, r1) = (span[0], span[1]);
+                let mut weights = Matrix::zeros(in_dim, out_dim);
+                kernels::matmul_tn(
+                    r1 - r0,
+                    in_dim,
+                    out_dim,
+                    &cache.aggregated.data()[r0 * in_dim..r1 * in_dim],
+                    &grad_z.data()[r0 * out_dim..r1 * out_dim],
+                    weights.data_mut(),
+                );
+                let mut bias = vec![0.0; out_dim];
+                for r in r0..r1 {
+                    for (b, g) in bias.iter_mut().zip(grad_z.row(r)) {
+                        *b += g;
+                    }
+                }
+                ConvGrads { weights, bias }
+            })
+            .collect();
         (grads, grad_z)
     }
 
-    /// The input half of the backward pass: dL/d(input) from dL/dZ. A stack
+    /// The input half of the backward pass: dL/d(input) from dL/dZ, over one
+    /// subgraph or a whole union, in a matrix taken from `buffers`. A stack
     /// skips it for its first layer, whose input is the constant node
     /// features.
-    pub(crate) fn input_backward(&self, graph: &SubgraphTensor, grad_z: &Matrix) -> Matrix {
+    pub(crate) fn input_backward(
+        &self,
+        graph: &SubgraphTensor,
+        grad_z: &Matrix,
+        buffers: &mut Buffers,
+    ) -> Matrix {
         // dL/d(ÂX) = dZ Wᵀ, then back through the (symmetric-pattern but
         // asymmetric-weight) propagation: dX = Âᵀ (dZ Wᵀ).
-        let grad_aggregated = grad_z.matmul_nt(&self.weights);
-        graph.propagate_transpose(&grad_aggregated)
+        let n = graph.num_nodes();
+        let mut grad_aggregated = buffers.zeros(n, self.in_dim());
+        kernels::matmul_nt(
+            n,
+            self.out_dim(),
+            self.in_dim(),
+            grad_z.data(),
+            self.weights.data(),
+            grad_aggregated.data_mut(),
+        );
+        let mut grad_input = buffers.zeros(n, self.in_dim());
+        graph.propagate_transpose_into(&grad_aggregated, &mut grad_input);
+        buffers.give_matrix(grad_aggregated);
+        grad_input
     }
 
     /// Applies one Adam update with the given (already batch-scaled)

@@ -1,5 +1,6 @@
 //! The dense classification head applied after SortPooling.
 
+use autolock_mlcore::kernels;
 use autolock_mlcore::optim::{AdamParams, AdamState, AdamVecState};
 use autolock_mlcore::Matrix;
 use rand::Rng;
@@ -34,38 +35,39 @@ pub struct DenseStack {
     layers: Vec<DenseLayer>,
 }
 
-/// Forward cache: the input to every layer plus each layer's pre-activation.
+/// A batch's forward pass through the head, one row per example: every
+/// layer's input `U` and pre-activation `Z = U·W + b`.
 #[derive(Debug, Clone)]
-pub struct DenseCache {
-    inputs: Vec<Vec<f64>>,
-    pre: Vec<Vec<f64>>,
+pub struct HeadForward {
+    inputs: Vec<Matrix>,
+    pre: Vec<Matrix>,
 }
 
-impl DenseCache {
-    /// The final logit.
-    pub fn logit(&self) -> f64 {
-        self.pre.last().expect("at least one layer")[0]
+impl HeadForward {
+    /// The final logits, one per example.
+    pub fn logits(&self) -> &[f64] {
+        self.pre.last().expect("at least one layer").data()
     }
 }
 
-/// One example's head gradient in factored form: layer `l`'s weight
-/// gradient is `outer(inputs[l], deltas[l])` and its bias gradient is
-/// `deltas[l]`. The outer products are only ever formed summed over a whole
-/// mini-batch, by [`DenseStack::batch_gradients`].
+/// A batch's backward pass through the head, one row per example: every
+/// layer's input `U` and dL/d(pre-activation) `Δ`. Layer `l`'s weight
+/// gradient is `Uᵀ·Δ`, its bias gradient the column sums of `Δ`; both are
+/// formed by [`DenseStack::add_gradients`].
 #[derive(Debug, Clone)]
-pub struct HeadFactors {
-    inputs: Vec<Vec<f64>>,
-    deltas: Vec<Vec<f64>>,
+pub struct HeadBackward {
+    inputs: Vec<Matrix>,
+    deltas: Vec<Matrix>,
 }
 
-impl HeadFactors {
+impl HeadBackward {
     /// Every layer's input, first layer first.
-    pub fn inputs(&self) -> &[Vec<f64>] {
+    pub fn inputs(&self) -> &[Matrix] {
         &self.inputs
     }
 
     /// Every layer's dL/d(pre-activation), first layer first.
-    pub fn deltas(&self) -> &[Vec<f64>] {
+    pub fn deltas(&self) -> &[Matrix] {
         &self.deltas
     }
 }
@@ -120,85 +122,104 @@ impl DenseStack {
         self.layers.first().expect("non-empty").weights.rows()
     }
 
-    /// Forward pass; hidden layers ReLU, output linear.
-    pub fn forward(&self, input: &[f64]) -> DenseCache {
+    /// Forward pass over a batch (`input` is `batch × input_dim`, one row
+    /// per example); hidden layers ReLU, output linear. Each layer is one
+    /// `U·W` product plus the bias. The kernel sums every entry in
+    /// increasing input order from `0.0`, so row `e` is bit for bit the
+    /// one-example pass on row `e` alone.
+    pub fn forward(&self, input: Matrix) -> HeadForward {
         let mut inputs = Vec::with_capacity(self.layers.len());
         let mut pre = Vec::with_capacity(self.layers.len());
-        let mut current = input.to_vec();
+        let mut current = input;
         for (i, layer) in self.layers.iter().enumerate() {
-            let mut z = layer.weights.matvec_t(&current);
-            for (v, b) in z.iter_mut().zip(&layer.bias) {
-                *v += b;
+            let mut z = current.matmul(&layer.weights);
+            for r in 0..z.rows() {
+                for (v, b) in z.row_mut(r).iter_mut().zip(&layer.bias) {
+                    *v += b;
+                }
             }
             let next = if i + 1 == self.layers.len() {
-                Vec::new()
+                Matrix::zeros(0, 0)
             } else {
-                z.iter().map(|&v| v.max(0.0)).collect()
+                z.map(|v| v.max(0.0))
             };
             pre.push(z);
             inputs.push(std::mem::replace(&mut current, next));
         }
-        DenseCache { inputs, pre }
+        HeadForward { inputs, pre }
     }
 
-    /// Backward pass from dL/d(logit); returns the parameter gradients in
-    /// factored form and dL/d(input). Consumes the cache: its layer inputs
-    /// become the factors' inputs without a copy.
-    pub fn backward(&self, cache: DenseCache, grad_logit: f64) -> (HeadFactors, Vec<f64>) {
-        let mut deltas = vec![Vec::new(); self.layers.len()];
-        let mut delta = vec![grad_logit];
-        for idx in (0..self.layers.len()).rev() {
-            // weights are in × out, so dL/d(input) = W · delta.
-            let back = self.layers[idx].weights.matvec(&delta);
-            let next = if idx > 0 {
-                back.iter()
-                    .zip(&cache.pre[idx - 1])
-                    .map(|(&g, &z)| if z > 0.0 { g } else { 0.0 })
-                    .collect()
-            } else {
-                back
-            };
-            deltas[idx] = std::mem::replace(&mut delta, next);
-        }
-        let factors = HeadFactors {
-            inputs: cache.inputs,
-            deltas,
-        };
-        (factors, delta)
-    }
-
-    /// The summed parameter gradients of a mini-batch of examples.
+    /// Backward pass from dL/d(logit), one per example; returns every
+    /// layer's input and delta, and dL/d(input) (`batch × input_dim`).
+    /// Each layer back-propagates with one `Δ·Wᵀ` product, whose entries
+    /// sum in increasing output order from `0.0`, row by row. Consumes the
+    /// forward pass: its layer inputs move into the result.
     ///
-    /// Layer `l`'s weight gradient is one `Uᵀ·Δ` product, where `U` stacks
-    /// the batch's layer-`l` inputs (`b × in`) and `Δ` its deltas
-    /// (`b × out`). The blocked kernel accumulates every entry from `0.0` in
-    /// increasing example order, which is exactly the example-order sum of
-    /// the per-example outer products: a running sum that starts at `+0.0`
-    /// absorbs a `-0.0` product the same way `0.0 + (-0.0) = +0.0` does.
-    /// Biases are summed in example order.
-    pub fn batch_gradients<'a>(
-        &self,
-        batch: impl IntoIterator<Item = &'a HeadFactors>,
-    ) -> DenseGrads {
-        let batch: Vec<&HeadFactors> = batch.into_iter().collect();
-        let stacked =
-            |rows: Vec<&[f64]>, cols: usize| Matrix::from_vec(rows.len(), cols, rows.concat());
-        let mut weights = Vec::with_capacity(self.layers.len());
-        let mut bias = Vec::with_capacity(self.layers.len());
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (in_dim, out_dim) = (layer.weights.rows(), layer.weights.cols());
-            let u = stacked(batch.iter().map(|f| &f.inputs[l][..]).collect(), in_dim);
-            let d = stacked(batch.iter().map(|f| &f.deltas[l][..]).collect(), out_dim);
-            weights.push(u.matmul_tn(&d));
-            let mut b = vec![0.0; out_dim];
-            for f in &batch {
-                for (x, v) in b.iter_mut().zip(&f.deltas[l]) {
-                    *x += v;
+    /// # Panics
+    ///
+    /// Panics if `grad_logits` does not hold one value per example.
+    pub fn backward(&self, forward: HeadForward, grad_logits: &[f64]) -> (HeadBackward, Matrix) {
+        let HeadForward { inputs, pre } = forward;
+        let batch = inputs[0].rows();
+        assert_eq!(grad_logits.len(), batch, "one logit gradient per example");
+        let mut deltas = vec![Matrix::zeros(0, 0); self.layers.len()];
+        let mut delta = Matrix::from_vec(batch, 1, grad_logits.to_vec());
+        for idx in (0..self.layers.len()).rev() {
+            // weights are in × out, so dL/d(input) = Δ · Wᵀ.
+            let mut back = delta.matmul_nt(&self.layers[idx].weights);
+            if idx > 0 {
+                for (g, &z) in back.data_mut().iter_mut().zip(pre[idx - 1].data()) {
+                    *g = if z > 0.0 { *g } else { 0.0 };
                 }
             }
-            bias.push(b);
+            deltas[idx] = std::mem::replace(&mut delta, back);
         }
-        DenseGrads { weights, bias }
+        (HeadBackward { inputs, deltas }, delta)
+    }
+
+    /// Zero gradients shaped like this head.
+    pub fn zero_gradients(&self) -> DenseGrads {
+        DenseGrads {
+            weights: self
+                .layers
+                .iter()
+                .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()))
+                .collect(),
+            bias: self
+                .layers
+                .iter()
+                .map(|l| vec![0.0; l.bias.len()])
+                .collect(),
+        }
+    }
+
+    /// Adds a batch's summed parameter gradients to `grads`.
+    ///
+    /// Layer `l`'s weight gradient is one `Uᵀ·Δ` product straight from the
+    /// stacked matrices. The blocked kernel continues every entry's sum
+    /// from its value in `grads` in increasing example order, so from zero
+    /// gradients this is exactly the example-order sum of the per-example
+    /// outer products (a running sum that starts at `+0.0` absorbs a `-0.0`
+    /// product the same way `0.0 + (-0.0) = +0.0` does), and the batches of
+    /// one mini-batch, added in order, chain as one batch would. Biases are
+    /// summed in example order.
+    pub fn add_gradients(&self, pass: &HeadBackward, grads: &mut DenseGrads) {
+        for (l, (u, d)) in pass.inputs.iter().zip(&pass.deltas).enumerate() {
+            kernels::matmul_tn(
+                u.rows(),
+                u.cols(),
+                d.cols(),
+                u.data(),
+                d.data(),
+                grads.weights[l].data_mut(),
+            );
+            let bias = &mut grads.bias[l];
+            for r in 0..d.rows() {
+                for (b, v) in bias.iter_mut().zip(d.row(r)) {
+                    *b += v;
+                }
+            }
+        }
     }
 
     /// Applies one Adam update.
@@ -248,11 +269,13 @@ mod tests {
     fn forward_shapes_and_relu() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let stack = DenseStack::new(4, &[3], &mut rng);
-        let cache = stack.forward(&[0.5, -0.5, 1.0, 0.0]);
-        assert_eq!(cache.inputs[0].len(), 4);
-        assert_eq!(cache.pre[0].len(), 3);
-        assert_eq!(cache.pre[1].len(), 1);
-        assert!(cache.logit().is_finite());
+        let input = Matrix::from_vec(2, 4, vec![0.5, -0.5, 1.0, 0.0, -1.0, 0.25, 0.0, 2.0]);
+        let forward = stack.forward(input);
+        assert_eq!((forward.inputs[0].rows(), forward.inputs[0].cols()), (2, 4));
+        assert_eq!((forward.pre[0].rows(), forward.pre[0].cols()), (2, 3));
+        assert!(forward.inputs[1].data().iter().all(|&v| v >= 0.0));
+        assert_eq!(forward.logits().len(), 2);
+        assert!(forward.logits().iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -260,22 +283,44 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let stack = DenseStack::new(5, &[4, 3], &mut rng);
         let x: Vec<f64> = (0..5).map(|i| 0.3 * i as f64 - 0.6).collect();
-        let cache = stack.forward(&x);
-        let (_, grad_in) = stack.backward(cache, 1.0);
+        let logit = |x: &[f64]| stack.forward(Matrix::from_vec(1, 5, x.to_vec())).logits()[0];
+        let forward = stack.forward(Matrix::from_vec(1, 5, x.clone()));
+        let (_, grad_in) = stack.backward(forward, &[1.0]);
         let eps = 1e-6;
         for i in 0..x.len() {
             let mut xp = x.clone();
             xp[i] += eps;
-            let up = stack.forward(&xp).logit();
             let mut xm = x.clone();
             xm[i] -= eps;
-            let down = stack.forward(&xm).logit();
-            let fd = (up - down) / (2.0 * eps);
+            let fd = (logit(&xp) - logit(&xm)) / (2.0 * eps);
             assert!(
-                (fd - grad_in[i]).abs() < 1e-6,
+                (fd - grad_in.get(0, i)).abs() < 1e-6,
                 "input {i}: fd {fd} vs analytic {}",
-                grad_in[i]
+                grad_in.get(0, i)
             );
+        }
+    }
+
+    /// Row `e` of every batched product is bit for bit the one-example
+    /// pass on row `e` alone, forward and backward.
+    #[test]
+    fn batch_rows_match_one_example_passes_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let stack = DenseStack::new(7, &[6], &mut rng);
+        let input = Matrix::random(5, 7, 1.0, &mut rng);
+        let grad_logits: Vec<f64> = (0..5).map(|e| 0.4 - 0.2 * e as f64).collect();
+        let forward = stack.forward(input.clone());
+        let logits = forward.logits().to_vec();
+        let (batched, grad_in) = stack.backward(forward, &grad_logits);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (e, &grad_logit) in grad_logits.iter().enumerate() {
+            let one = stack.forward(Matrix::from_vec(1, 7, input.row(e).to_vec()));
+            assert_eq!(one.logits()[0].to_bits(), logits[e].to_bits());
+            let (alone, alone_in) = stack.backward(one, &[grad_logit]);
+            for (a, b) in alone.deltas().iter().zip(batched.deltas()) {
+                assert_eq!(bits(a.row(0)), bits(b.row(e)));
+            }
+            assert_eq!(bits(alone_in.row(0)), bits(grad_in.row(e)));
         }
     }
 }

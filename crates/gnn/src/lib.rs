@@ -29,11 +29,19 @@
 //!    ([`autolock_mlcore::optim`]) and backpropagation through the dense
 //!    head, SortPooling and the whole conv stack. Training is deterministic
 //!    for a fixed `ChaCha8Rng` seed, and **streamed**: examples are pulled
-//!    from a [`GraphSource`] one mini-batch chunk at a time
+//!    from a [`GraphSource`] one mini-batch at a time
 //!    ([`Dgcnn::train_source`]), so peak tensor memory is bounded by the
-//!    chunk, not the training-set size — what lets the DGCNN backend train
-//!    on ISCAS-scale netlists. The slice API ([`Dgcnn::train`]) wraps the
-//!    same pipeline via [`SliceSource`].
+//!    mini-batch, not the training-set size — what lets the DGCNN backend
+//!    train on ISCAS-scale netlists. Each mini-batch runs as **one graph**,
+//!    the disjoint union of its examples' subgraphs: every conv layer is one
+//!    propagate, one `ÂX·W` product and one `tanh` epilogue per mini-batch,
+//!    and the dense head one product per layer and direction over the
+//!    `batch × k·C` matrix of pooled rows. Every entry keeps its
+//!    one-example accumulation chain, and parameter gradients are reduced
+//!    in example order, so the result is the same bits as one example at a
+//!    time. Scoring ([`Dgcnn::score_batch`]) runs the same forward pass over
+//!    groups of `batch_size` graphs. The slice API ([`Dgcnn::train`]) wraps
+//!    the same pipeline via [`SliceSource`].
 //!
 //! `autolock_attacks`' `MuxLinkBackend::Gnn` drives [`Dgcnn`] directly:
 //! [`Dgcnn::train_source`] on its streamed training links, then
@@ -71,6 +79,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 #![forbid(unsafe_code)]
 
+mod buffers;
 mod conv;
 mod dense;
 mod model;
@@ -79,7 +88,7 @@ mod stream;
 mod tensor;
 
 pub use conv::{ConvCache, ConvGrads, GraphConv};
-pub use dense::{DenseCache, DenseGrads, DenseStack, HeadFactors};
+pub use dense::{DenseGrads, DenseStack, HeadBackward, HeadForward};
 pub use model::{Dgcnn, DgcnnConfig};
 pub use sortpool::{SortPoolCache, SortPoolK, SortPooling};
 pub use stream::{GraphSource, SliceSource};

@@ -1,9 +1,11 @@
 //! The full DGCNN: conv stack → channel concat → SortPooling → dense head.
 
+use crate::buffers::Buffers;
 use crate::conv::{ConvCache, ConvGrads, GraphConv};
-use crate::dense::{DenseGrads, DenseStack, HeadFactors};
-use crate::sortpool::{SortPoolK, SortPooling};
+use crate::dense::{DenseGrads, DenseStack, HeadBackward, HeadForward};
+use crate::sortpool::{SortPoolCache, SortPoolK, SortPooling};
 use crate::stream::{GraphSource, SliceSource};
+use crate::tensor::TensorBatch;
 use crate::SubgraphTensor;
 use autolock_mlcore::optim::AdamParams;
 use autolock_mlcore::parallel::pooled_map;
@@ -12,6 +14,34 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::sync::Mutex;
+
+/// The most rows one union graph takes; a batch of bigger subgraphs runs as
+/// several unions (a subgraph bigger than this runs alone). Batching pays
+/// where an example's own products are short; a union of large subgraphs
+/// gains nothing and outgrows the caches (sixteen 300–600-node subgraphs
+/// trained about 20% slower as one union than one by one).
+const MAX_UNION_ROWS: usize = 512;
+
+/// Splits `items` into contiguous runs of at most `max_items` items and at
+/// most [`MAX_UNION_ROWS`] rows (`rows` gives an item's node count), each
+/// run holding at least one item: the unions a batch runs as.
+fn unions<T>(items: &[T], max_items: usize, rows: impl Fn(&T) -> usize) -> Vec<&[T]> {
+    let mut spans = Vec::new();
+    let (mut start, mut total) = (0, 0);
+    for (i, item) in items.iter().enumerate() {
+        let n = rows(item);
+        if i > start && (i - start == max_items || total + n > MAX_UNION_ROWS) {
+            spans.push(&items[start..i]);
+            (start, total) = (i, 0);
+        }
+        total += n;
+    }
+    if start < items.len() {
+        spans.push(&items[start..]);
+    }
+    spans
+}
 
 /// Hyper-parameters of a [`Dgcnn`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,12 +105,37 @@ pub struct Dgcnn {
     head: DenseStack,
 }
 
-/// One example's backward pass: its loss, the conv parameter gradients,
-/// and the dense head's gradient in factored form.
-struct ExampleGrads {
-    loss: f64,
-    convs: Vec<ConvGrads>,
-    head: HeadFactors,
+/// One batch's forward pass: the conv stack over the union, each example's
+/// SortPooling selection, and the head over the pooled rows.
+struct BatchForward {
+    convs: Vec<ConvCache>,
+    pools: Vec<SortPoolCache>,
+    head: HeadForward,
+}
+
+impl BatchForward {
+    /// The logits, with the conv activations given back to `buffers`.
+    fn into_logits(self, buffers: &mut Buffers) -> Vec<f64> {
+        give_caches(self.convs, buffers);
+        self.head.logits().to_vec()
+    }
+}
+
+/// Gives conv activations back to `buffers`.
+fn give_caches(caches: Vec<ConvCache>, buffers: &mut Buffers) {
+    for cache in caches {
+        buffers.give_matrix(cache.aggregated);
+        buffers.give_matrix(cache.output);
+    }
+}
+
+/// One batch's backward pass: each example's loss, each conv layer's
+/// per-example parameter gradients (`convs[layer][example]`), and the
+/// head's inputs and deltas.
+struct BatchGrads {
+    losses: Vec<f64>,
+    convs: Vec<Vec<ConvGrads>>,
+    head: HeadBackward,
 }
 
 impl Dgcnn {
@@ -175,73 +230,97 @@ impl Dgcnn {
     /// Forward pass to the raw logit (used by tests; [`Dgcnn::score`] applies
     /// the sigmoid).
     pub fn logit(&self, graph: &SubgraphTensor) -> f64 {
-        self.forward(graph).2.logit()
+        let mut buffers = Buffers::default();
+        self.forward(&TensorBatch::single(graph), &mut buffers)
+            .into_logits(&mut buffers)[0]
     }
 
-    #[allow(clippy::type_complexity)]
-    fn forward(
-        &self,
-        graph: &SubgraphTensor,
-    ) -> (
-        Vec<ConvCache>,
-        crate::sortpool::SortPoolCache,
-        crate::dense::DenseCache,
-    ) {
-        let mut caches: Vec<ConvCache> = Vec::with_capacity(self.convs.len());
+    /// The staged forward pass over a batch: every conv layer runs once over
+    /// the whole union, the channel concat is built once, SortPooling picks
+    /// each example's rows, and the head runs on the `batch × k·C` matrix of
+    /// pooled rows. Every entry keeps the accumulation chain it has in a
+    /// one-example pass, so each example's logit is the same bits in any
+    /// batch. Union-wide matrices come from `buffers`.
+    fn forward(&self, batch: &TensorBatch, buffers: &mut Buffers) -> BatchForward {
+        let graph = batch.graph();
+        let mut convs: Vec<ConvCache> = Vec::with_capacity(self.convs.len());
         for conv in &self.convs {
-            let input = caches
+            let input = convs
                 .last()
                 .map(|c: &ConvCache| &c.output)
                 .unwrap_or(graph.features());
-            caches.push(conv.forward(graph, input));
+            convs.push(conv.forward_in(graph, input, buffers));
         }
         // Channel-wise concatenation of every conv output. The sort channel
         // (last column of the last conv) ends up as the last column overall.
         let n = graph.num_nodes();
-        let total: usize = self.convs.iter().map(GraphConv::out_dim).sum();
-        let mut concat = Matrix::zeros(n, total);
+        let total = self.total_channels();
+        let mut concat = buffers.zeros(n, total);
         let mut offset = 0;
-        for cache in &caches {
+        for cache in &convs {
             let w = cache.output.cols();
             for r in 0..n {
                 concat.row_mut(r)[offset..offset + w].copy_from_slice(cache.output.row(r));
             }
             offset += w;
         }
-        let (pooled, pool_cache) = self.pool.forward(&concat);
-        // Row-major storage: the pooled matrix's data is the flattened head
-        // input.
-        let head_cache = self.head.forward(pooled.data());
-        (caches, pool_cache, head_cache)
+        // Row-major storage: a pooled matrix's data is its example's
+        // flattened head input.
+        let width = self.pool.k() * total;
+        let mut head_input = Vec::with_capacity(batch.len() * width);
+        let pools = (0..batch.len())
+            .map(|e| {
+                let (pooled, cache) = self.pool.forward(&concat, batch.rows(e));
+                head_input.extend_from_slice(pooled.data());
+                cache
+            })
+            .collect();
+        buffers.give_matrix(concat);
+        let head = self
+            .head
+            .forward(Matrix::from_vec(batch.len(), width, head_input));
+        BatchForward { convs, pools, head }
     }
 
-    /// Forward + backward on one example.
-    fn forward_backward(&self, graph: &SubgraphTensor, label: f64) -> ExampleGrads {
-        let (conv_caches, pool_cache, head_cache) = self.forward(graph);
-        let logit = head_cache.logit();
-        let p = sigmoid(logit);
-        let loss = binary_cross_entropy(p, label);
-
+    /// The staged training step over a batch: the forward pass, then one
+    /// backward product per layer over the whole batch. Parameter gradients
+    /// come back per example (conv) or as the head's stacked inputs and
+    /// deltas, for the caller to reduce in example order. Union-wide
+    /// matrices come from `buffers` and go back to it.
+    fn backward(&self, batch: &TensorBatch, labels: &[f64], buffers: &mut Buffers) -> BatchGrads {
+        let forward = self.forward(batch, buffers);
+        let probs: Vec<f64> = forward.head.logits().iter().map(|&l| sigmoid(l)).collect();
+        let losses = probs
+            .iter()
+            .zip(labels)
+            .map(|(&p, &y)| binary_cross_entropy(p, y))
+            .collect();
         // dL/dlogit for sigmoid + BCE.
-        let (head, grad_flat) = self.head.backward(head_cache, p - label);
+        let grad_logits: Vec<f64> = probs.iter().zip(labels).map(|(&p, &y)| p - y).collect();
+        let (head, grad_head_input) = self.head.backward(forward.head, &grad_logits);
 
-        // Un-flatten into the pooled matrix shape and push through the pool.
-        let total: usize = self.convs.iter().map(GraphConv::out_dim).sum();
-        let grad_pooled = Matrix::from_vec(self.pool.k(), total, grad_flat);
-        let grad_concat = self.pool.backward(&pool_cache, &grad_pooled);
+        // Push each example's pooled gradient back to its own rows.
+        let graph = batch.graph();
+        let n = graph.num_nodes();
+        let total = self.total_channels();
+        let mut grad_concat = buffers.zeros(n, total);
+        for (e, cache) in forward.pools.iter().enumerate() {
+            self.pool
+                .backward(cache, grad_head_input.row(e), &mut grad_concat);
+        }
 
         // Split the concat gradient per conv layer, then walk the stack
         // backwards: layer i receives its concat slice plus whatever layer
         // i+1 propagated into its input. Layer 0's input is the constant
         // node features, so its input gradient is never formed.
-        let n = graph.num_nodes();
-        let mut conv_grads: Vec<Option<ConvGrads>> = (0..self.convs.len()).map(|_| None).collect();
+        let mut convs: Vec<Vec<ConvGrads>> = Vec::with_capacity(self.convs.len());
         let mut carried: Option<Matrix> = None;
         let mut offset_end = total;
         for idx in (0..self.convs.len()).rev() {
-            let w = self.convs[idx].out_dim();
+            let (conv, cache) = (&self.convs[idx], &forward.convs[idx]);
+            let w = conv.out_dim();
             let offset = offset_end - w;
-            let mut grad_out = Matrix::zeros(n, w);
+            let mut grad_out = buffers.zeros(n, w);
             for r in 0..n {
                 grad_out
                     .row_mut(r)
@@ -249,22 +328,36 @@ impl Dgcnn {
             }
             if let Some(extra) = carried.take() {
                 grad_out.add_scaled(1.0, &extra);
+                buffers.give_matrix(extra);
             }
-            let conv = &self.convs[idx];
-            let (grads, grad_z) = conv.param_backward(&conv_caches[idx], grad_out);
+            let (grads, grad_z) = conv.param_backward(cache, grad_out, batch.offsets());
             if idx > 0 {
-                carried = Some(conv.input_backward(graph, &grad_z));
+                carried = Some(conv.input_backward(graph, &grad_z, buffers));
             }
-            conv_grads[idx] = Some(grads);
+            buffers.give_matrix(grad_z);
+            convs.push(grads);
             offset_end = offset;
         }
-        ExampleGrads {
-            loss,
-            convs: conv_grads
-                .into_iter()
-                .map(|g| g.expect("every conv visited"))
-                .collect(),
+        convs.reverse();
+        buffers.give_matrix(grad_concat);
+        give_caches(forward.convs, buffers);
+        BatchGrads {
+            losses,
+            convs,
             head,
+        }
+    }
+
+    /// Total channel count of the conv stack (the concat width).
+    fn total_channels(&self) -> usize {
+        self.convs.iter().map(GraphConv::out_dim).sum()
+    }
+
+    /// Worker count behind `config.num_threads` (`0` = all cores).
+    fn workers(&self) -> usize {
+        match self.config.num_threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         }
     }
 
@@ -289,21 +382,26 @@ impl Dgcnn {
     }
 
     /// The streamed training pipeline: examples are pulled from `source` one
-    /// mini-batch chunk at a time, so at most one chunk of subgraph tensors
+    /// mini-batch at a time, so at most one mini-batch of subgraph tensors
     /// (plus its per-example gradients) is alive at any moment — peak
-    /// memory no longer scales with the training-set size. Owned tensors
-    /// drop the moment their example's pass finishes, as do the per-example
-    /// forward/backward intermediates, all inside the worker closure and
-    /// before gradient reduction.
+    /// memory no longer scales with the training-set size.
     ///
-    /// Determinism: per-example passes within a chunk fan across
-    /// `config.num_threads` rayon threads through the order-preserving
-    /// pooled map, and the per-example gradients are reduced **in fixed
+    /// Each mini-batch is split into at most `config.num_threads`
+    /// contiguous parts (one with a single thread), which fan out through
+    /// the order-preserving pooled map. A part gathers its tensors from
+    /// `source`, copies them into one disjoint-union graph (several, of at
+    /// most 512 rows each, when the subgraphs are large), drops them, and
+    /// runs the staged step on each union: one product per layer and
+    /// direction. Each worker keeps its union-wide matrices from one
+    /// mini-batch to the next.
+    ///
+    /// Determinism: every per-example gradient is reduced **in fixed
     /// example order** before the Adam step (the dense head's weight
-    /// gradients as one `Uᵀ·Δ` product per layer, whose kernel accumulates
-    /// in example order too) — so the training trajectory is
-    /// bit-for-bit identical for every thread count, and (for a pure source)
-    /// bit-for-bit identical to training on the materialized tensor set.
+    /// gradients as `Uᵀ·Δ` products continued union after union, whose
+    /// kernel accumulates in example order too) — so the training
+    /// trajectory is bit-for-bit identical for every thread count, and (for
+    /// a pure source) bit-for-bit identical to training on the materialized
+    /// tensor set.
     ///
     /// # Panics
     ///
@@ -322,6 +420,7 @@ impl Dgcnn {
             l2: self.config.l2,
             ..Default::default()
         };
+        let pools: Vec<Mutex<Buffers>> = (0..self.workers()).map(|_| Mutex::default()).collect();
         let mut indices: Vec<usize> = (0..source.len()).collect();
         let mut last_epoch_loss = f64::INFINITY;
         for _ in 0..self.config.epochs {
@@ -331,30 +430,12 @@ impl Dgcnn {
             for batch in indices.chunks(self.config.batch_size.max(1)) {
                 chunks.incr();
                 examples.add(batch.len() as u64);
-                // Fan the independent per-example passes across the shared
-                // pooled map (order-preserving): each worker materializes
-                // its example's tensor, runs the pass, and drops the
-                // tensor before returning — only the loss, the conv
-                // gradients and the head factors survive into the
-                // reduction, which stays serial and in example order.
-                let passes: Vec<ExampleGrads> = pooled_map(self.config.num_threads, batch, |&i| {
-                    let tensor = source.tensor(i);
-                    let pass = self.forward_backward(&tensor, source.label(i));
-                    if let Cow::Owned(_) = tensor {
-                        rebuilds.incr();
-                    }
-                    pass
-                });
-                let scale = 1.0 / batch.len() as f64;
-                let mut convs: Vec<ConvGrads> =
-                    self.convs.iter().map(ConvGrads::zeros_like).collect();
-                for pass in &passes {
-                    epoch_loss += pass.loss;
-                    for (total, g) in convs.iter_mut().zip(&pass.convs) {
-                        total.add(g);
-                    }
+                let (losses, mut convs, mut head) =
+                    self.minibatch(source, batch, &rebuilds, &pools);
+                for loss in losses {
+                    epoch_loss += loss;
                 }
-                let mut head = self.head.batch_gradients(passes.iter().map(|p| &p.head));
+                let scale = 1.0 / batch.len() as f64;
                 for (conv, g) in self.convs.iter_mut().zip(&mut convs) {
                     g.scale(scale);
                     conv.apply(g, &hp);
@@ -367,19 +448,94 @@ impl Dgcnn {
         last_epoch_loss
     }
 
+    /// One mini-batch of examples `batch` from `source`: each example's
+    /// loss, and the summed (unscaled) conv and head gradients, reduced in
+    /// example order. The mini-batch splits into one contiguous part per
+    /// worker, each with its own `pools` entry, and a part runs as one
+    /// union, or as several when its subgraphs are large.
+    fn minibatch(
+        &self,
+        source: &dyn GraphSource,
+        batch: &[usize],
+        rebuilds: &autolock_obs::Counter,
+        pools: &[Mutex<Buffers>],
+    ) -> (Vec<f64>, Vec<ConvGrads>, DenseGrads) {
+        let parts: Vec<(&[usize], &Mutex<Buffers>)> = batch
+            .chunks(batch.len().div_ceil(pools.len()))
+            .zip(pools)
+            .collect();
+        let passes: Vec<Vec<BatchGrads>> =
+            pooled_map(self.config.num_threads, &parts, |&(part, pool)| {
+                let mut buffers = pool.lock().expect("no worker panics holding its buffers");
+                unions(part, part.len(), |&i| source.num_nodes(i))
+                    .into_iter()
+                    .map(|span| {
+                        let tensors: Vec<Cow<'_, SubgraphTensor>> = span
+                            .iter()
+                            .map(|&i| {
+                                let tensor = source.tensor(i);
+                                if let Cow::Owned(_) = tensor {
+                                    rebuilds.incr();
+                                }
+                                tensor
+                            })
+                            .collect();
+                        let union = TensorBatch::union(&tensors, &mut buffers);
+                        drop(tensors);
+                        let labels: Vec<f64> = span.iter().map(|&i| source.label(i)).collect();
+                        let pass = self.backward(&union, &labels, &mut buffers);
+                        union.recycle(&mut buffers);
+                        pass
+                    })
+                    .collect()
+            });
+        let mut losses = Vec::with_capacity(batch.len());
+        let mut convs: Vec<ConvGrads> = self.convs.iter().map(ConvGrads::zeros_like).collect();
+        let mut head = self.head.zero_gradients();
+        for pass in passes.into_iter().flatten() {
+            losses.extend(pass.losses);
+            for (total, per_example) in convs.iter_mut().zip(&pass.convs) {
+                for g in per_example {
+                    total.add(g);
+                }
+            }
+            self.head.add_gradients(&pass.head, &mut head);
+        }
+        (losses, convs, head)
+    }
+
     /// Probability in `[0, 1]` that the candidate link is real.
     pub fn score(&self, graph: &SubgraphTensor) -> f64 {
         sigmoid(self.logit(graph))
     }
 
-    /// Scores a batch of candidate links (`out[i]` belongs to `graphs[i]`),
-    /// fanning the independent forward passes across `config.num_threads`
-    /// rayon threads. Output order (and every value, bit-for-bit) matches
-    /// the serial [`Self::score`] loop.
+    /// Scores a batch of candidate links (`out[i]` belongs to `graphs[i]`).
+    /// The graphs split into one contiguous part per `config.num_threads`
+    /// worker, and each part runs the staged forward pass on unions of up
+    /// to `config.batch_size` graphs. Output order (and every value,
+    /// bit-for-bit) matches the serial [`Self::score`] loop.
     pub fn score_batch(&self, graphs: &[SubgraphTensor]) -> Vec<f64> {
         let _span = autolock_obs::span!("gnn.score_chunk");
         autolock_obs::counter("gnn.scored_links").add(graphs.len() as u64);
-        pooled_map(self.config.num_threads, graphs, |g| self.score(g))
+        if graphs.is_empty() {
+            return Vec::new();
+        }
+        let parts: Vec<&[SubgraphTensor]> = graphs
+            .chunks(graphs.len().div_ceil(self.workers()))
+            .collect();
+        pooled_map(self.config.num_threads, &parts, |part| {
+            let mut buffers = Buffers::default();
+            let mut scores = Vec::with_capacity(part.len());
+            let max_items = self.config.batch_size.max(1);
+            for span in unions(part, max_items, SubgraphTensor::num_nodes) {
+                let union = TensorBatch::union(span, &mut buffers);
+                let logits = self.forward(&union, &mut buffers).into_logits(&mut buffers);
+                scores.extend(logits.into_iter().map(sigmoid));
+                union.recycle(&mut buffers);
+            }
+            scores
+        })
+        .concat()
     }
 
     /// Mean binary cross-entropy over a labelled set (no training).
@@ -392,10 +548,10 @@ impl Dgcnn {
         if graphs.is_empty() {
             return 0.0;
         }
-        graphs
-            .iter()
+        self.score_batch(graphs)
+            .into_iter()
             .zip(labels)
-            .map(|(g, &y)| binary_cross_entropy(self.score(g), y))
+            .map(|(p, &y)| binary_cross_entropy(p, y))
             .sum::<f64>()
             / graphs.len() as f64
     }
@@ -411,19 +567,70 @@ impl Dgcnn {
     }
 
     /// Test hook: all parameter gradients of one example as
-    /// `(per-conv grads, dense-head grads, loss)` for gradient checking.
+    /// `(per-conv grads, dense-head grads, loss)` for gradient checking: the
+    /// staged step on a one-example batch.
     pub fn example_gradients(
         &self,
         graph: &SubgraphTensor,
         label: f64,
     ) -> (Vec<ConvGrads>, DenseGrads, f64) {
-        let pass = self.forward_backward(graph, label);
-        let head = self.head.batch_gradients([&pass.head]);
-        (pass.convs, head, pass.loss)
+        let pass = self.backward(
+            &TensorBatch::single(graph),
+            &[label],
+            &mut Buffers::default(),
+        );
+        let mut head = self.head.zero_gradients();
+        self.head.add_gradients(&pass.head, &mut head);
+        let convs = pass
+            .convs
+            .into_iter()
+            .map(|mut g| g.pop().expect("one example"))
+            .collect();
+        (convs, head, pass.losses[0])
+    }
+
+    /// Test hook: one training mini-batch over all of `graphs`, as
+    /// [`Dgcnn::train_source`] runs it before the Adam step: each example's
+    /// loss, and the conv and head gradients summed in example order (not
+    /// yet scaled by the batch size).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graphs` and `labels` lengths differ or are empty.
+    pub fn step_gradients(
+        &self,
+        graphs: &[SubgraphTensor],
+        labels: &[f64],
+    ) -> (Vec<f64>, Vec<ConvGrads>, DenseGrads) {
+        assert!(!graphs.is_empty(), "a mini-batch needs an example");
+        let batch: Vec<usize> = (0..graphs.len()).collect();
+        let rebuilds = autolock_obs::counter("gnn.tensor_rebuilds");
+        let pools: Vec<Mutex<Buffers>> = (0..self.workers()).map(|_| Mutex::default()).collect();
+        self.minibatch(&SliceSource::new(graphs, labels), &batch, &rebuilds, &pools)
     }
 
     /// The loss of one example (for finite differences).
     pub fn example_loss(&self, graph: &SubgraphTensor, label: f64) -> f64 {
         binary_cross_entropy(self.score(graph), label)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unions_split_by_count_and_rows() {
+        let rows = |&n: &usize| n;
+        // By count: runs of at most 3 items.
+        let items = [10usize; 7];
+        let spans: Vec<usize> = unions(&items, 3, rows).iter().map(|s| s.len()).collect();
+        assert_eq!(spans, vec![3, 3, 1]);
+        // By rows: a run closes before it would pass MAX_UNION_ROWS, and
+        // an item bigger than the cap runs alone.
+        let items = [300, 200, 100, 600, 12, 500];
+        let spans: Vec<&[usize]> = unions(&items, items.len(), rows);
+        assert_eq!(spans, vec![&[300, 200][..], &[100], &[600], &[12, 500]]);
+        assert!(unions(&[] as &[usize], 4, rows).is_empty());
     }
 }

@@ -2,6 +2,7 @@
 
 use autolock_mlcore::Matrix;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// How the SortPooling output size `k` is chosen.
 ///
@@ -60,10 +61,9 @@ pub struct SortPooling {
 /// Cache for the backward pass: which input row landed in each output slot.
 #[derive(Debug, Clone)]
 pub struct SortPoolCache {
-    /// `selected[slot] = Some(input_row)` or `None` for zero padding.
+    /// `selected[slot] = Some(input_row)` or `None` for zero padding;
+    /// `input_row` indexes the whole input matrix, not the pooled range.
     pub selected: Vec<Option<usize>>,
-    /// Input row count.
-    pub input_rows: usize,
 }
 
 impl SortPooling {
@@ -77,13 +77,13 @@ impl SortPooling {
         self.k
     }
 
-    /// Forward pass: returns the pooled `k × f` matrix and the permutation
-    /// cache.
-    pub fn forward(&self, x: &Matrix) -> (Matrix, SortPoolCache) {
-        let n = x.rows();
+    /// Forward pass over one graph's rows `rows` of `x` (a batch stacks
+    /// several graphs): returns the pooled `k × f` matrix and the
+    /// permutation cache.
+    pub fn forward(&self, x: &Matrix, rows: Range<usize>) -> (Matrix, SortPoolCache) {
         let f = x.cols();
         let sort_channel = f.saturating_sub(1);
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut order: Vec<usize> = rows.collect();
         order.sort_by(|&a, &b| {
             x.get(b, sort_channel)
                 .partial_cmp(&x.get(a, sort_channel))
@@ -92,33 +92,26 @@ impl SortPooling {
         });
         let mut out = Matrix::zeros(self.k, f);
         let mut selected = vec![None; self.k];
-        for slot in 0..self.k.min(n) {
-            let src = order[slot];
+        for (slot, &src) in order.iter().take(self.k).enumerate() {
             out.row_mut(slot).copy_from_slice(x.row(src));
             selected[slot] = Some(src);
         }
-        (
-            out,
-            SortPoolCache {
-                selected,
-                input_rows: n,
-            },
-        )
+        (out, SortPoolCache { selected })
     }
 
-    /// Backward pass: scatters dL/d(pooled) back to the input rows (padded
-    /// slots contribute nothing; unselected nodes receive zero gradient).
-    pub fn backward(&self, cache: &SortPoolCache, grad_output: &Matrix) -> Matrix {
-        let mut grad_input = Matrix::zeros(cache.input_rows, grad_output.cols());
+    /// Backward pass: adds dL/d(pooled), the row-major `k × f` slice
+    /// `grad_output`, into the selected rows of `grad_input` (padded slots
+    /// contribute nothing; unselected rows are left as they are).
+    pub fn backward(&self, cache: &SortPoolCache, grad_output: &[f64], grad_input: &mut Matrix) {
+        let f = grad_input.cols();
         for (slot, sel) in cache.selected.iter().enumerate() {
             if let Some(src) = sel {
                 let dst = grad_input.row_mut(*src);
-                for (d, v) in dst.iter_mut().zip(grad_output.row(slot)) {
+                for (d, v) in dst.iter_mut().zip(&grad_output[slot * f..(slot + 1) * f]) {
                     *d += v;
                 }
             }
         }
-        grad_input
     }
 }
 
@@ -138,7 +131,7 @@ mod tests {
             ],
         );
         let pool = SortPooling::new(4);
-        let (y, cache) = pool.forward(&x);
+        let (y, cache) = pool.forward(&x, 0..3);
         // Order by last channel desc: rows 1 (0.9), 2 (0.5), 0 (0.1), pad.
         assert_eq!(y.row(0), &[2.0, 0.9]);
         assert_eq!(y.row(1), &[3.0, 0.5]);
@@ -151,11 +144,11 @@ mod tests {
     fn truncates_to_k_and_backward_scatters() {
         let x = Matrix::from_vec(3, 1, vec![0.3, 0.1, 0.2]);
         let pool = SortPooling::new(2);
-        let (y, cache) = pool.forward(&x);
+        let (y, cache) = pool.forward(&x, 0..3);
         assert_eq!(y.row(0), &[0.3]);
         assert_eq!(y.row(1), &[0.2]);
-        let grad = Matrix::from_vec(2, 1, vec![10.0, 20.0]);
-        let gi = pool.backward(&cache, &grad);
+        let mut gi = Matrix::zeros(3, 1);
+        pool.backward(&cache, &[10.0, 20.0], &mut gi);
         assert_eq!(gi.row(0), &[10.0]); // row 0 was slot 0
         assert_eq!(gi.row(1), &[0.0]); // dropped by pooling
         assert_eq!(gi.row(2), &[20.0]); // row 2 was slot 1
@@ -165,8 +158,22 @@ mod tests {
     fn ties_break_by_node_index() {
         let x = Matrix::from_vec(2, 1, vec![0.5, 0.5]);
         let pool = SortPooling::new(2);
-        let (_, cache) = pool.forward(&x);
+        let (_, cache) = pool.forward(&x, 0..2);
         assert_eq!(cache.selected, vec![Some(0), Some(1)]);
+    }
+
+    #[test]
+    fn pools_and_scatters_within_one_row_range() {
+        // Rows 2..5 are one graph of a stacked batch; rows outside the
+        // range never compete, and its gradient lands on its own rows.
+        let x = Matrix::from_vec(6, 1, vec![9.0, 8.0, 0.1, 0.7, 0.4, 5.0]);
+        let pool = SortPooling::new(4);
+        let (y, cache) = pool.forward(&x, 2..5);
+        assert_eq!(y.data(), &[0.7, 0.4, 0.1, 0.0]);
+        assert_eq!(cache.selected, vec![Some(3), Some(4), Some(2), None]);
+        let mut gi = Matrix::zeros(6, 1);
+        pool.backward(&cache, &[1.0, 2.0, 3.0, 4.0], &mut gi);
+        assert_eq!(gi.data(), &[0.0, 0.0, 3.0, 1.0, 2.0, 0.0]);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! of nodes, so that tensor set — not the model — was the memory hog that
 //! kept the DGCNN backend off the structured suite tier. A [`GraphSource`]
 //! inverts the ownership: training asks for example `i`'s tensor when (and
-//! only when) a worker is about to run its forward/backward pass, and drops
-//! an owned tensor as soon as that pass ends. Peak tensor memory becomes
-//! `O(concurrent workers)` instead of `O(training set)`.
+//! only when) its mini-batch is about to run, copies the mini-batch's
+//! tensors into one disjoint-union graph, and drops owned tensors as soon as
+//! they are copied; the union drops when the mini-batch's step ends. Peak
+//! tensor memory becomes `O(one mini-batch of tensors)` instead of
+//! `O(training set)`.
 //!
 //! Determinism: the source is **pure** — `tensor(i)` must return the same
 //! tensor values every time it is called (sources backed by the attack's
@@ -43,8 +45,10 @@ pub trait GraphSource: Sync {
     fn num_nodes(&self, idx: usize) -> usize;
 
     /// The tensor of example `idx`: borrowed from a materialized set, or
-    /// built on demand. Must be pure (identical values on every call);
-    /// called once per example per epoch by the streamed trainer.
+    /// built on demand. Must be pure (identical values on every call).
+    /// The streamed trainer calls it once per example per epoch, for a
+    /// whole mini-batch at a time, and keeps an owned tensor only until its
+    /// values are copied into the mini-batch's union graph.
     fn tensor(&self, idx: usize) -> Cow<'_, SubgraphTensor>;
 }
 

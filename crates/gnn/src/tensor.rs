@@ -1,8 +1,11 @@
 //! Enclosing subgraphs as tensors: normalized adjacency + node features.
 
+use crate::buffers::Buffers;
 use autolock_mlcore::Matrix;
 use autolock_netlist::graph::EnclosingSubgraph;
 use autolock_netlist::{GateKind, Netlist};
+use std::borrow::{Borrow, Cow};
+use std::ops::Range;
 
 /// An enclosing subgraph prepared for the DGCNN: node features `X` and the
 /// degree-normalized adjacency `Â = D̃⁻¹(A + I)`.
@@ -175,14 +178,34 @@ impl SubgraphTensor {
         GateKind::NUM_CODES + max_drnl.max(1) + 1
     }
 
-    /// Sparse product `Â · m`.
+    /// Sparse product `Â · m`: row `i` sums its entries' terms in stored
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if `m.rows() != num_nodes()`.
     pub fn propagate(&self, m: &Matrix) -> Matrix {
-        assert_eq!(m.rows(), self.num_nodes(), "propagate shape mismatch");
         let mut out = Matrix::zeros(m.rows(), m.cols());
+        self.propagate_into(m, &mut out);
+        out
+    }
+
+    /// Sparse product with the transpose, `Âᵀ · m` (the backward direction of
+    /// [`Self::propagate`]): row `j` sums its terms in increasing source row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m.rows() != num_nodes()`.
+    pub fn propagate_transpose(&self, m: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(m.rows(), m.cols());
+        self.propagate_transpose_into(m, &mut out);
+        out
+    }
+
+    /// [`Self::propagate`] into `out`, which must be zeroed and shaped like
+    /// `m`.
+    pub(crate) fn propagate_into(&self, m: &Matrix, out: &mut Matrix) {
+        self.check_operands(m, out);
         for i in 0..self.num_nodes() {
             let (cols, vals) = (
                 &self.col[self.row_ptr[i]..self.row_ptr[i + 1]],
@@ -195,18 +218,12 @@ impl SubgraphTensor {
                 }
             }
         }
-        out
     }
 
-    /// Sparse product with the transpose, `Âᵀ · m` (the backward direction of
-    /// [`Self::propagate`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m.rows() != num_nodes()`.
-    pub fn propagate_transpose(&self, m: &Matrix) -> Matrix {
-        assert_eq!(m.rows(), self.num_nodes(), "propagate shape mismatch");
-        let mut out = Matrix::zeros(m.rows(), m.cols());
+    /// [`Self::propagate_transpose`] into `out`, which must be zeroed and
+    /// shaped like `m`.
+    pub(crate) fn propagate_transpose_into(&self, m: &Matrix, out: &mut Matrix) {
+        self.check_operands(m, out);
         for i in 0..self.num_nodes() {
             let span = self.row_ptr[i]..self.row_ptr[i + 1];
             for (&j, &w) in self.col[span.clone()].iter().zip(&self.val[span]) {
@@ -216,7 +233,117 @@ impl SubgraphTensor {
                 }
             }
         }
-        out
+    }
+
+    fn check_operands(&self, m: &Matrix, out: &Matrix) {
+        assert_eq!(m.rows(), self.num_nodes(), "propagate shape mismatch");
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (m.rows(), m.cols()),
+            "propagate output shape mismatch"
+        );
+    }
+}
+
+/// A mini-batch of subgraph tensors run as one graph: the disjoint union of
+/// its parts.
+///
+/// The union stacks the parts' feature rows and keeps their adjacency
+/// block-diagonal (each part's columns shifted by its first row), so
+/// [`SubgraphTensor::propagate`] and [`SubgraphTensor::propagate_transpose`]
+/// run on it unchanged. Every row keeps its own entries in its own order,
+/// and every column of the transpose still receives its contributions in
+/// increasing row order, all from its own block: each output entry has the
+/// accumulation chain it has in its part alone.
+pub(crate) struct TensorBatch<'a> {
+    graph: Cow<'a, SubgraphTensor>,
+    /// Part `e` owns the union's rows `offsets[e]..offsets[e + 1]`.
+    offsets: Vec<usize>,
+}
+
+impl<'a> TensorBatch<'a> {
+    /// A one-part batch over `graph` itself, without a copy.
+    pub(crate) fn single(graph: &'a SubgraphTensor) -> Self {
+        TensorBatch {
+            offsets: vec![0, graph.num_nodes()],
+            graph: Cow::Borrowed(graph),
+        }
+    }
+
+    /// The disjoint union of `parts`, in order, with its features and
+    /// adjacency values in storage taken from `buffers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts' feature dimensionalities differ.
+    pub(crate) fn union<T: Borrow<SubgraphTensor>>(parts: &[T], buffers: &mut Buffers) -> Self {
+        let f = parts.first().map_or(0, |p| p.borrow().feature_dim());
+        let mut offsets = Vec::with_capacity(parts.len() + 1);
+        offsets.push(0);
+        let mut nnz = 0;
+        for part in parts {
+            let part = part.borrow();
+            assert_eq!(
+                part.feature_dim(),
+                f,
+                "every part of a batch needs the same feature dimensionality"
+            );
+            offsets.push(offsets[offsets.len() - 1] + part.num_nodes());
+            nnz += part.num_entries();
+        }
+        let n = offsets[parts.len()];
+        let mut x = buffers.zeros(n, f);
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let mut col = Vec::with_capacity(nnz);
+        let mut val = buffers.vec(nnz);
+        for (part, &first_row) in parts.iter().zip(&offsets) {
+            let part = part.borrow();
+            let first_entry = col.len();
+            x.data_mut()[first_row * f..(first_row + part.num_nodes()) * f]
+                .copy_from_slice(part.x.data());
+            val[first_entry..first_entry + part.num_entries()].copy_from_slice(&part.val);
+            row_ptr.extend(part.row_ptr[1..].iter().map(|&p| p + first_entry));
+            col.extend(part.col.iter().map(|&j| j + first_row));
+        }
+        let graph = SubgraphTensor {
+            x,
+            row_ptr,
+            col,
+            val,
+        };
+        TensorBatch {
+            graph: Cow::Owned(graph),
+            offsets,
+        }
+    }
+
+    /// Gives an owned union's storage back to `buffers`.
+    pub(crate) fn recycle(self, buffers: &mut Buffers) {
+        if let Cow::Owned(graph) = self.graph {
+            buffers.give_matrix(graph.x);
+            buffers.give(graph.val);
+        }
+    }
+
+    /// The union as one graph.
+    pub(crate) fn graph(&self) -> &SubgraphTensor {
+        &self.graph
+    }
+
+    /// Number of parts.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The union's rows that part `e` owns.
+    pub(crate) fn rows(&self, e: usize) -> Range<usize> {
+        self.offsets[e]..self.offsets[e + 1]
+    }
+
+    /// Part boundaries: part `e` owns rows `offsets[e]..offsets[e + 1]`.
+    pub(crate) fn offsets(&self) -> &[usize] {
+        &self.offsets
     }
 }
 
@@ -325,5 +452,71 @@ mod tests {
                 assert!((sparse_t.get(r, c) - reference_t.get(r, c)).abs() < 1e-12);
             }
         }
+    }
+
+    /// A connected `n`-node tensor: a ring plus seeded chords, random
+    /// features, row-normalized weights.
+    fn ring_with_chords(n: usize, seed: u64) -> SubgraphTensor {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let x = Matrix::random(n, 5, 1.0, &mut rng);
+        let mut adj: Vec<Vec<(usize, f64)>> = (0..n).map(|i| vec![(i, 1.0)]).collect();
+        for i in 0..n {
+            let j = if i % 3 == 0 {
+                rng.gen_range(0..n)
+            } else {
+                (i + 1) % n
+            };
+            if j != i {
+                adj[i].push((j, 1.0));
+                adj[j].push((i, 1.0));
+            }
+        }
+        for row in &mut adj {
+            let norm = 1.0 / row.len() as f64;
+            for e in row.iter_mut() {
+                e.1 = norm * (1.0 + e.0 as f64 / 7.0);
+            }
+        }
+        SubgraphTensor::from_parts(x, adj)
+    }
+
+    #[test]
+    fn union_propagates_each_block_exactly_as_alone() {
+        let parts: Vec<SubgraphTensor> = [2, 9, 40]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| ring_with_chords(n, 30 + i as u64))
+            .collect();
+        let batch = TensorBatch::union(&parts, &mut Buffers::default());
+        assert_eq!(batch.len(), 3);
+        let union = batch.graph();
+        assert_eq!(union.num_nodes(), 51);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for input in [union.features().clone(), union.features().map(|v| -v * 0.3)] {
+            let (forward, backward) = (union.propagate(&input), union.propagate_transpose(&input));
+            for (e, part) in parts.iter().enumerate() {
+                let rows = batch.rows(e);
+                let block = Matrix::from_vec(
+                    rows.len(),
+                    input.cols(),
+                    input.data()[rows.start * input.cols()..rows.end * input.cols()].to_vec(),
+                );
+                let slice = |m: &Matrix| {
+                    Matrix::from_vec(
+                        rows.len(),
+                        m.cols(),
+                        m.data()[rows.start * m.cols()..rows.end * m.cols()].to_vec(),
+                    )
+                };
+                assert_eq!(bits(&slice(&forward)), bits(&part.propagate(&block)));
+                assert_eq!(
+                    bits(&slice(&backward)),
+                    bits(&part.propagate_transpose(&block))
+                );
+            }
+        }
+        let single = TensorBatch::single(&parts[1]);
+        assert_eq!((single.len(), single.rows(0)), (1, 0..9));
     }
 }

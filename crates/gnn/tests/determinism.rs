@@ -7,7 +7,9 @@
 //! (matmul shapes and exactness against the identity, transpose involution,
 //! CSR propagation vs a dense reference) over random subgraph batches.
 
-use autolock_gnn::{Dgcnn, DgcnnConfig, GraphSource, SliceSource, SortPoolK, SubgraphTensor};
+use autolock_gnn::{
+    ConvGrads, Dgcnn, DgcnnConfig, GraphSource, SliceSource, SortPoolK, SubgraphTensor,
+};
 use autolock_mlcore::Matrix;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -127,6 +129,113 @@ fn score_batch_matches_serial_scores_exactly() {
     let serial: Vec<f64> = graphs.iter().map(|g| model.score(g)).collect();
     assert_eq!(model.score_batch(&graphs), serial);
     assert!(model.score_batch(&[]).is_empty());
+}
+
+/// The staged step runs a mini-batch as one disjoint-union graph (or one
+/// per worker thread, or several when the subgraphs are large). Its
+/// per-example losses and its summed conv and head gradients must equal,
+/// bit for bit, the example-order sum of one-example passes, for
+/// mini-batches of 1, 5 and 16 examples, at every thread count. Most graphs
+/// have 6 to 12 nodes against `k = 10`, so some are zero-padded by
+/// SortPooling; three have 150 to 250, so the 16-example batch needs more
+/// than one union.
+#[test]
+fn staged_minibatch_equals_example_order_sum_of_single_examples() {
+    let (mut graphs, labels) = dataset(16);
+    for (i, n) in [(6, 150), (9, 250), (13, 200)] {
+        graphs[i] = random_graph(n, 6, 700 + i as u64);
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for threads in [1, 2, 3, 0].into_iter().chain(env_threads()) {
+        let mut rng = ChaCha8Rng::seed_from_u64(2024);
+        let mut model = Dgcnn::new(
+            DgcnnConfig {
+                epochs: 2,
+                batch_size: 4,
+                num_threads: threads,
+                ..DgcnnConfig::for_features(6)
+            },
+            &mut rng,
+        );
+        // A few steps first, so no weight is at its initial value.
+        model.train(&graphs, &labels, &mut rng);
+        for size in [1, 5, 16] {
+            let (graphs, labels) = (&graphs[..size], &labels[..size]);
+            assert!(graphs.iter().any(|g| g.num_nodes() < 10));
+            let rows: usize = graphs.iter().map(SubgraphTensor::num_nodes).sum();
+            // Past the 512-row cap of one union.
+            assert_eq!(size == 16, rows > 512);
+            let (losses, convs, head) = model.step_gradients(graphs, labels);
+
+            let mut want_convs: Option<Vec<ConvGrads>> = None;
+            let mut want_head: Option<(Vec<Matrix>, Vec<Vec<f64>>)> = None;
+            for (e, (graph, &label)) in graphs.iter().zip(labels).enumerate() {
+                let (example_convs, example_head, loss) = model.example_gradients(graph, label);
+                assert_eq!(
+                    losses[e].to_bits(),
+                    loss.to_bits(),
+                    "threads {threads}, batch {size}: loss of example {e}"
+                );
+                let totals = want_convs.get_or_insert_with(|| {
+                    example_convs
+                        .iter()
+                        .map(|g| ConvGrads {
+                            weights: Matrix::zeros(g.weights.rows(), g.weights.cols()),
+                            bias: vec![0.0; g.bias.len()],
+                        })
+                        .collect()
+                });
+                for (total, g) in totals.iter_mut().zip(&example_convs) {
+                    total.add(g);
+                }
+                let (weights, biases) = want_head.get_or_insert_with(|| {
+                    let weights = example_head.layer_weights();
+                    (
+                        weights
+                            .iter()
+                            .map(|w| Matrix::zeros(w.rows(), w.cols()))
+                            .collect(),
+                        weights.iter().map(|w| vec![0.0; w.cols()]).collect(),
+                    )
+                });
+                for (total, w) in weights.iter_mut().zip(example_head.layer_weights()) {
+                    total.add_scaled(1.0, w);
+                }
+                for (total, b) in biases.iter_mut().zip(example_head.layer_biases()) {
+                    for (t, v) in total.iter_mut().zip(b) {
+                        *t += v;
+                    }
+                }
+            }
+            assert_eq!(losses.len(), size);
+            let want_convs = want_convs.expect("non-empty batch");
+            for (layer, (got, want)) in convs.iter().zip(&want_convs).enumerate() {
+                assert_eq!(
+                    bits(got.weights.data()),
+                    bits(want.weights.data()),
+                    "threads {threads}, batch {size}: conv {layer} weights"
+                );
+                assert_eq!(
+                    bits(&got.bias),
+                    bits(&want.bias),
+                    "threads {threads}, batch {size}: conv {layer} bias"
+                );
+            }
+            let (weights, biases) = want_head.expect("non-empty batch");
+            for layer in 0..weights.len() {
+                assert_eq!(
+                    bits(head.layer_weights()[layer].data()),
+                    bits(weights[layer].data()),
+                    "threads {threads}, batch {size}: head {layer} weights"
+                );
+                assert_eq!(
+                    bits(&head.layer_biases()[layer]),
+                    bits(&biases[layer]),
+                    "threads {threads}, batch {size}: head {layer} bias"
+                );
+            }
+        }
+    }
 }
 
 /// Adaptive-k resolution is a pure function of the dataset, so the whole

@@ -7,9 +7,7 @@
 //! actual training loss, so any future kernel rewrite that corrupts
 //! backpropagation fails `cargo test` loudly.
 
-use autolock_gnn::{
-    DenseStack, Dgcnn, DgcnnConfig, HeadFactors, SortPoolK, SortPooling, SubgraphTensor,
-};
+use autolock_gnn::{DenseStack, Dgcnn, DgcnnConfig, SortPoolK, SortPooling, SubgraphTensor};
 use autolock_mlcore::Matrix;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -237,7 +235,7 @@ fn sortpool_backward_is_the_adjoint_of_forward() {
     }
     let pool = SortPooling::new(k);
     let objective = |x: &Matrix| -> f64 {
-        let (y, _) = pool.forward(x);
+        let (y, _) = pool.forward(x, 0..n);
         let mut total = 0.0;
         for r in 0..k {
             for c in 0..f {
@@ -246,10 +244,9 @@ fn sortpool_backward_is_the_adjoint_of_forward() {
         }
         total
     };
-    let (_, cache) = pool.forward(&x);
-    let grad = pool.backward(&cache, &g);
-    assert_eq!(grad.rows(), n);
-    assert_eq!(grad.cols(), f);
+    let (_, cache) = pool.forward(&x, 0..n);
+    let mut grad = Matrix::zeros(n, f);
+    pool.backward(&cache, g.data(), &mut grad);
     for r in 0..n {
         for c in 0..f {
             let original = x.get(r, c);
@@ -285,12 +282,12 @@ fn sortpool_tie_breaking_is_by_node_index_and_routes_gradients() {
         ],
     );
     let pool = SortPooling::new(2);
-    let (y, cache) = pool.forward(&x);
+    let (y, cache) = pool.forward(&x, 0..4);
     assert_eq!(cache.selected, vec![Some(0), Some(1)]);
     assert_eq!(y.row(0), &[10.0, 0.5]);
     assert_eq!(y.row(1), &[20.0, 0.5]);
-    let g = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-    let grad = pool.backward(&cache, &g);
+    let mut grad = Matrix::zeros(4, 2);
+    pool.backward(&cache, &[1.0, 2.0, 3.0, 4.0], &mut grad);
     assert_eq!(grad.row(0), &[1.0, 2.0]);
     assert_eq!(grad.row(1), &[3.0, 4.0]);
     assert_eq!(grad.row(2), &[0.0, 0.0]);
@@ -300,18 +297,20 @@ fn sortpool_tie_breaking_is_by_node_index_and_routes_gradients() {
     // keys [9, 5, 5, 5] and k = 2, row 0 wins outright and row 1 wins the
     // three-way tie.
     let x = Matrix::from_vec(4, 1, vec![9.0, 5.0, 5.0, 5.0]);
-    let (_, cache) = SortPooling::new(2).forward(&x);
+    let (_, cache) = SortPooling::new(2).forward(&x, 0..4);
     assert_eq!(cache.selected, vec![Some(0), Some(1)]);
 }
 
-/// The head's batched weight gradient (one `Uᵀ·Δ` product per layer) is
-/// bit-for-bit the example-order sum of per-example materialized outer
-/// products, and its bias gradient the example-order sum of per-example
-/// bias gradients. The inputs come from SortPooling over graphs smaller
-/// than `k`, so zero-padded rows meet negative deltas, and the hidden ReLU
-/// layer has dead units whose zero deltas meet negative inputs: both give
-/// `-0.0` products, which the batched sum must absorb exactly as the
-/// per-example `0.0 + (-0.0)` does.
+/// The row-batched head's weight gradient (one `Uᵀ·Δ` product per layer,
+/// straight from the stacked matrices of the backward pass) is bit-for-bit
+/// the example-order sum of per-example materialized outer products, and
+/// its bias gradient the example-order sum of per-example bias gradients.
+/// The inputs come from SortPooling over graphs smaller than `k`, so
+/// zero-padded rows meet negative deltas, and the hidden ReLU layer has
+/// dead units whose zero deltas meet negative inputs: both give `-0.0`
+/// products, which the batched sum must absorb exactly as the per-example
+/// `0.0 + (-0.0)` does. Each batch is also added as two halves, as a
+/// mini-batch split across threads is, with the same bits.
 #[test]
 fn batched_head_gradient_matches_example_order_sum_bitwise() {
     let (k, channels) = (6, 3);
@@ -320,21 +319,37 @@ fn batched_head_gradient_matches_example_order_sum_bitwise() {
     let head = DenseStack::new(k * channels, &[8], &mut rng);
     let (mut padded_zero_products, mut dead_unit_zero_products) = (0, 0);
     for batch_size in [1, 5, 16] {
-        let factors: Vec<HeadFactors> = (0..batch_size)
-            .map(|e| {
-                let x = Matrix::random(2 + e % 7, channels, 1.0, &mut rng);
-                let (pooled, _) = pool.forward(&x);
-                let cache = head.forward(pooled.data());
-                head.backward(cache, rng.gen_range(-1.0..1.0)).0
-            })
-            .collect();
-        let batched = head.batch_gradients(&factors);
+        let mut pooled_rows = Vec::with_capacity(batch_size * k * channels);
+        for e in 0..batch_size {
+            let x = Matrix::random(2 + e % 7, channels, 1.0, &mut rng);
+            pooled_rows.extend_from_slice(pool.forward(&x, 0..x.rows()).0.data());
+        }
+        let input = Matrix::from_vec(batch_size, k * channels, pooled_rows);
+        let grad_logits: Vec<f64> = (0..batch_size).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let (pass, _) = head.backward(head.forward(input.clone()), &grad_logits);
+        let mut batched = head.zero_gradients();
+        head.add_gradients(&pass, &mut batched);
+
+        let split = batch_size / 2;
+        let half = |rows: std::ops::Range<usize>| {
+            let slice = Matrix::from_vec(
+                rows.len(),
+                k * channels,
+                input.data()[rows.start * k * channels..rows.end * k * channels].to_vec(),
+            );
+            head.backward(head.forward(slice), &grad_logits[rows]).0
+        };
+        let mut halves = head.zero_gradients();
+        head.add_gradients(&half(0..split), &mut halves);
+        head.add_gradients(&half(split..batch_size), &mut halves);
+
         for layer in 0..head.num_layers() {
             let (rows, cols) = head.layer_shape(layer);
             let mut weights = Matrix::zeros(rows, cols);
             let mut bias = vec![0.0; cols];
-            for f in &factors {
-                let (u, d) = (&f.inputs()[layer], &f.deltas()[layer]);
+            let (inputs, deltas) = (&pass.inputs()[layer], &pass.deltas()[layer]);
+            for e in 0..batch_size {
+                let (u, d) = (inputs.row(e), deltas.row(e));
                 let mut example_weights = Matrix::zeros(rows, cols);
                 for (r, &ur) in u.iter().enumerate() {
                     for (w, dc) in example_weights.row_mut(r).iter_mut().zip(d) {
@@ -358,20 +373,22 @@ fn batched_head_gradient_matches_example_order_sum_bitwise() {
                     }
                 }
             }
-            let got = &batched.layer_weights()[layer];
-            for (i, (g, r)) in got.data().iter().zip(weights.data()).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    r.to_bits(),
-                    "batch {batch_size}, layer {layer}, weight {i}: {g} vs {r}"
-                );
-            }
-            for (i, (g, r)) in batched.layer_biases()[layer].iter().zip(&bias).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    r.to_bits(),
-                    "batch {batch_size}, layer {layer}, bias {i}: {g} vs {r}"
-                );
+            for got in [&batched, &halves] {
+                let got_weights = &got.layer_weights()[layer];
+                for (i, (g, r)) in got_weights.data().iter().zip(weights.data()).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        r.to_bits(),
+                        "batch {batch_size}, layer {layer}, weight {i}: {g} vs {r}"
+                    );
+                }
+                for (i, (g, r)) in got.layer_biases()[layer].iter().zip(&bias).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        r.to_bits(),
+                        "batch {batch_size}, layer {layer}, bias {i}: {g} vs {r}"
+                    );
+                }
             }
         }
     }
