@@ -1,6 +1,5 @@
 //! The DGCNN spatial graph-convolution layer.
 
-use crate::buffers::Buffers;
 use crate::SubgraphTensor;
 use autolock_mlcore::kernels::{self, tanh_in_place};
 use autolock_mlcore::optim::{AdamParams, AdamState, AdamVecState};
@@ -99,29 +98,9 @@ impl GraphConv {
     /// union: one propagate, one `ÂX·W` product and one bias + `tanh`
     /// epilogue over every row.
     pub fn forward(&self, graph: &SubgraphTensor, x: &Matrix) -> ConvCache {
-        self.forward_in(graph, x, &mut Buffers::default())
-    }
-
-    /// [`Self::forward`] with the cache's matrices taken from `buffers`.
-    pub(crate) fn forward_in(
-        &self,
-        graph: &SubgraphTensor,
-        x: &Matrix,
-        buffers: &mut Buffers,
-    ) -> ConvCache {
-        let n = graph.num_nodes();
-        let mut aggregated = buffers.zeros(n, self.in_dim());
-        graph.propagate_into(x, &mut aggregated);
-        let mut z = buffers.zeros(n, self.out_dim());
-        kernels::matmul_nn(
-            n,
-            self.in_dim(),
-            self.out_dim(),
-            aggregated.data(),
-            self.weights.data(),
-            z.data_mut(),
-        );
-        for r in 0..n {
+        let aggregated = graph.propagate(x);
+        let mut z = aggregated.matmul(&self.weights);
+        for r in 0..z.rows() {
             let row = z.row_mut(r);
             for (v, b) in row.iter_mut().zip(&self.bias) {
                 *v += b;
@@ -146,7 +125,7 @@ impl GraphConv {
         let (mut grads, grad_z) =
             self.param_backward(cache, grad_output.clone(), &[0, graph.num_nodes()]);
         let grads = grads.pop().expect("one example");
-        let grad_input = self.input_backward(graph, &grad_z, &mut Buffers::default());
+        let grad_input = self.input_backward(graph, &grad_z);
         (grads, grad_input)
     }
 
@@ -198,31 +177,13 @@ impl GraphConv {
     }
 
     /// The input half of the backward pass: dL/d(input) from dL/dZ, over one
-    /// subgraph or a whole union, in a matrix taken from `buffers`. A stack
-    /// skips it for its first layer, whose input is the constant node
-    /// features.
-    pub(crate) fn input_backward(
-        &self,
-        graph: &SubgraphTensor,
-        grad_z: &Matrix,
-        buffers: &mut Buffers,
-    ) -> Matrix {
+    /// subgraph or a whole union. A stack skips it for its first layer,
+    /// whose input is the constant node features.
+    pub(crate) fn input_backward(&self, graph: &SubgraphTensor, grad_z: &Matrix) -> Matrix {
         // dL/d(ÂX) = dZ Wᵀ, then back through the (symmetric-pattern but
         // asymmetric-weight) propagation: dX = Âᵀ (dZ Wᵀ).
-        let n = graph.num_nodes();
-        let mut grad_aggregated = buffers.zeros(n, self.in_dim());
-        kernels::matmul_nt(
-            n,
-            self.out_dim(),
-            self.in_dim(),
-            grad_z.data(),
-            self.weights.data(),
-            grad_aggregated.data_mut(),
-        );
-        let mut grad_input = buffers.zeros(n, self.in_dim());
-        graph.propagate_transpose_into(&grad_aggregated, &mut grad_input);
-        buffers.give_matrix(grad_aggregated);
-        grad_input
+        let grad_aggregated = grad_z.matmul_nt(&self.weights);
+        graph.propagate_transpose(&grad_aggregated)
     }
 
     /// Applies one Adam update with the given (already batch-scaled)

@@ -79,7 +79,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 #![forbid(unsafe_code)]
 
-mod buffers;
 mod conv;
 mod dense;
 mod model;

@@ -1,6 +1,5 @@
 //! The full DGCNN: conv stack → channel concat → SortPooling → dense head.
 
-use crate::buffers::Buffers;
 use crate::conv::{ConvCache, ConvGrads, GraphConv};
 use crate::dense::{DenseGrads, DenseStack, HeadBackward, HeadForward};
 use crate::sortpool::{SortPoolCache, SortPoolK, SortPooling};
@@ -8,19 +7,19 @@ use crate::stream::{GraphSource, SliceSource};
 use crate::tensor::TensorBatch;
 use crate::SubgraphTensor;
 use autolock_mlcore::optim::AdamParams;
-use autolock_mlcore::parallel::pooled_map;
+use autolock_mlcore::parallel::{contiguous_parts, pooled_map};
 use autolock_mlcore::{binary_cross_entropy, sigmoid, Matrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::sync::Mutex;
 
 /// The most rows one union graph takes; a batch of bigger subgraphs runs as
 /// several unions (a subgraph bigger than this runs alone). Batching pays
-/// where an example's own products are short; a union of large subgraphs
-/// gains nothing and outgrows the caches (sixteen 300–600-node subgraphs
-/// trained about 20% slower as one union than one by one).
+/// where an example's own products are short, but a union's matrices grow
+/// with it and are faulted in afresh every step: one 2560-row union trained
+/// and scored about twice as slowly as one example at a time, with about
+/// five times the page faults of 512-row unions.
 const MAX_UNION_ROWS: usize = 512;
 
 /// Splits `items` into contiguous runs of at most `max_items` items and at
@@ -111,22 +110,6 @@ struct BatchForward {
     convs: Vec<ConvCache>,
     pools: Vec<SortPoolCache>,
     head: HeadForward,
-}
-
-impl BatchForward {
-    /// The logits, with the conv activations given back to `buffers`.
-    fn into_logits(self, buffers: &mut Buffers) -> Vec<f64> {
-        give_caches(self.convs, buffers);
-        self.head.logits().to_vec()
-    }
-}
-
-/// Gives conv activations back to `buffers`.
-fn give_caches(caches: Vec<ConvCache>, buffers: &mut Buffers) {
-    for cache in caches {
-        buffers.give_matrix(cache.aggregated);
-        buffers.give_matrix(cache.output);
-    }
 }
 
 /// One batch's backward pass: each example's loss, each conv layer's
@@ -230,9 +213,7 @@ impl Dgcnn {
     /// Forward pass to the raw logit (used by tests; [`Dgcnn::score`] applies
     /// the sigmoid).
     pub fn logit(&self, graph: &SubgraphTensor) -> f64 {
-        let mut buffers = Buffers::default();
-        self.forward(&TensorBatch::single(graph), &mut buffers)
-            .into_logits(&mut buffers)[0]
+        self.forward(&TensorBatch::single(graph)).head.logits()[0]
     }
 
     /// The staged forward pass over a batch: every conv layer runs once over
@@ -240,8 +221,8 @@ impl Dgcnn {
     /// each example's rows, and the head runs on the `batch × k·C` matrix of
     /// pooled rows. Every entry keeps the accumulation chain it has in a
     /// one-example pass, so each example's logit is the same bits in any
-    /// batch. Union-wide matrices come from `buffers`.
-    fn forward(&self, batch: &TensorBatch, buffers: &mut Buffers) -> BatchForward {
+    /// batch.
+    fn forward(&self, batch: &TensorBatch) -> BatchForward {
         let graph = batch.graph();
         let mut convs: Vec<ConvCache> = Vec::with_capacity(self.convs.len());
         for conv in &self.convs {
@@ -249,13 +230,13 @@ impl Dgcnn {
                 .last()
                 .map(|c: &ConvCache| &c.output)
                 .unwrap_or(graph.features());
-            convs.push(conv.forward_in(graph, input, buffers));
+            convs.push(conv.forward(graph, input));
         }
         // Channel-wise concatenation of every conv output. The sort channel
         // (last column of the last conv) ends up as the last column overall.
         let n = graph.num_nodes();
         let total = self.total_channels();
-        let mut concat = buffers.zeros(n, total);
+        let mut concat = Matrix::zeros(n, total);
         let mut offset = 0;
         for cache in &convs {
             let w = cache.output.cols();
@@ -275,7 +256,6 @@ impl Dgcnn {
                 cache
             })
             .collect();
-        buffers.give_matrix(concat);
         let head = self
             .head
             .forward(Matrix::from_vec(batch.len(), width, head_input));
@@ -285,10 +265,9 @@ impl Dgcnn {
     /// The staged training step over a batch: the forward pass, then one
     /// backward product per layer over the whole batch. Parameter gradients
     /// come back per example (conv) or as the head's stacked inputs and
-    /// deltas, for the caller to reduce in example order. Union-wide
-    /// matrices come from `buffers` and go back to it.
-    fn backward(&self, batch: &TensorBatch, labels: &[f64], buffers: &mut Buffers) -> BatchGrads {
-        let forward = self.forward(batch, buffers);
+    /// deltas, for the caller to reduce in example order.
+    fn backward(&self, batch: &TensorBatch, labels: &[f64]) -> BatchGrads {
+        let forward = self.forward(batch);
         let probs: Vec<f64> = forward.head.logits().iter().map(|&l| sigmoid(l)).collect();
         let losses = probs
             .iter()
@@ -303,7 +282,7 @@ impl Dgcnn {
         let graph = batch.graph();
         let n = graph.num_nodes();
         let total = self.total_channels();
-        let mut grad_concat = buffers.zeros(n, total);
+        let mut grad_concat = Matrix::zeros(n, total);
         for (e, cache) in forward.pools.iter().enumerate() {
             self.pool
                 .backward(cache, grad_head_input.row(e), &mut grad_concat);
@@ -320,7 +299,7 @@ impl Dgcnn {
             let (conv, cache) = (&self.convs[idx], &forward.convs[idx]);
             let w = conv.out_dim();
             let offset = offset_end - w;
-            let mut grad_out = buffers.zeros(n, w);
+            let mut grad_out = Matrix::zeros(n, w);
             for r in 0..n {
                 grad_out
                     .row_mut(r)
@@ -328,19 +307,15 @@ impl Dgcnn {
             }
             if let Some(extra) = carried.take() {
                 grad_out.add_scaled(1.0, &extra);
-                buffers.give_matrix(extra);
             }
             let (grads, grad_z) = conv.param_backward(cache, grad_out, batch.offsets());
             if idx > 0 {
-                carried = Some(conv.input_backward(graph, &grad_z, buffers));
+                carried = Some(conv.input_backward(graph, &grad_z));
             }
-            buffers.give_matrix(grad_z);
             convs.push(grads);
             offset_end = offset;
         }
         convs.reverse();
-        buffers.give_matrix(grad_concat);
-        give_caches(forward.convs, buffers);
         BatchGrads {
             losses,
             convs,
@@ -351,14 +326,6 @@ impl Dgcnn {
     /// Total channel count of the conv stack (the concat width).
     fn total_channels(&self) -> usize {
         self.convs.iter().map(GraphConv::out_dim).sum()
-    }
-
-    /// Worker count behind `config.num_threads` (`0` = all cores).
-    fn workers(&self) -> usize {
-        match self.config.num_threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
     }
 
     /// Trains for `config.epochs` epochs of mini-batch Adam; returns the mean
@@ -392,8 +359,7 @@ impl Dgcnn {
     /// `source`, copies them into one disjoint-union graph (several, of at
     /// most 512 rows each, when the subgraphs are large), drops them, and
     /// runs the staged step on each union: one product per layer and
-    /// direction. Each worker keeps its union-wide matrices from one
-    /// mini-batch to the next.
+    /// direction.
     ///
     /// Determinism: every per-example gradient is reduced **in fixed
     /// example order** before the Adam step (the dense head's weight
@@ -420,7 +386,6 @@ impl Dgcnn {
             l2: self.config.l2,
             ..Default::default()
         };
-        let pools: Vec<Mutex<Buffers>> = (0..self.workers()).map(|_| Mutex::default()).collect();
         let mut indices: Vec<usize> = (0..source.len()).collect();
         let mut last_epoch_loss = f64::INFINITY;
         for _ in 0..self.config.epochs {
@@ -430,8 +395,7 @@ impl Dgcnn {
             for batch in indices.chunks(self.config.batch_size.max(1)) {
                 chunks.incr();
                 examples.add(batch.len() as u64);
-                let (losses, mut convs, mut head) =
-                    self.minibatch(source, batch, &rebuilds, &pools);
+                let (losses, mut convs, mut head) = self.minibatch(source, batch, &rebuilds);
                 for loss in losses {
                     epoch_loss += loss;
                 }
@@ -451,44 +415,36 @@ impl Dgcnn {
     /// One mini-batch of examples `batch` from `source`: each example's
     /// loss, and the summed (unscaled) conv and head gradients, reduced in
     /// example order. The mini-batch splits into one contiguous part per
-    /// worker, each with its own `pools` entry, and a part runs as one
-    /// union, or as several when its subgraphs are large.
+    /// worker, and a part runs as one union, or as several when its
+    /// subgraphs are large.
     fn minibatch(
         &self,
         source: &dyn GraphSource,
         batch: &[usize],
         rebuilds: &autolock_obs::Counter,
-        pools: &[Mutex<Buffers>],
     ) -> (Vec<f64>, Vec<ConvGrads>, DenseGrads) {
-        let parts: Vec<(&[usize], &Mutex<Buffers>)> = batch
-            .chunks(batch.len().div_ceil(pools.len()))
-            .zip(pools)
-            .collect();
-        let passes: Vec<Vec<BatchGrads>> =
-            pooled_map(self.config.num_threads, &parts, |&(part, pool)| {
-                let mut buffers = pool.lock().expect("no worker panics holding its buffers");
-                unions(part, part.len(), |&i| source.num_nodes(i))
-                    .into_iter()
-                    .map(|span| {
-                        let tensors: Vec<Cow<'_, SubgraphTensor>> = span
-                            .iter()
-                            .map(|&i| {
-                                let tensor = source.tensor(i);
-                                if let Cow::Owned(_) = tensor {
-                                    rebuilds.incr();
-                                }
-                                tensor
-                            })
-                            .collect();
-                        let union = TensorBatch::union(&tensors, &mut buffers);
-                        drop(tensors);
-                        let labels: Vec<f64> = span.iter().map(|&i| source.label(i)).collect();
-                        let pass = self.backward(&union, &labels, &mut buffers);
-                        union.recycle(&mut buffers);
-                        pass
-                    })
-                    .collect()
-            });
+        let parts = contiguous_parts(self.config.num_threads, batch);
+        let passes: Vec<Vec<BatchGrads>> = pooled_map(self.config.num_threads, &parts, |part| {
+            unions(part, part.len(), |&i| source.num_nodes(i))
+                .into_iter()
+                .map(|span| {
+                    let tensors: Vec<Cow<'_, SubgraphTensor>> = span
+                        .iter()
+                        .map(|&i| {
+                            let tensor = source.tensor(i);
+                            if let Cow::Owned(_) = tensor {
+                                rebuilds.incr();
+                            }
+                            tensor
+                        })
+                        .collect();
+                    let union = TensorBatch::union(&tensors);
+                    drop(tensors);
+                    let labels: Vec<f64> = span.iter().map(|&i| source.label(i)).collect();
+                    self.backward(&union, &labels)
+                })
+                .collect()
+        });
         let mut losses = Vec::with_capacity(batch.len());
         let mut convs: Vec<ConvGrads> = self.convs.iter().map(ConvGrads::zeros_like).collect();
         let mut head = self.head.zero_gradients();
@@ -517,21 +473,16 @@ impl Dgcnn {
     pub fn score_batch(&self, graphs: &[SubgraphTensor]) -> Vec<f64> {
         let _span = autolock_obs::span!("gnn.score_chunk");
         autolock_obs::counter("gnn.scored_links").add(graphs.len() as u64);
-        if graphs.is_empty() {
-            return Vec::new();
-        }
-        let parts: Vec<&[SubgraphTensor]> = graphs
-            .chunks(graphs.len().div_ceil(self.workers()))
-            .collect();
+        let parts = contiguous_parts(self.config.num_threads, graphs);
         pooled_map(self.config.num_threads, &parts, |part| {
-            let mut buffers = Buffers::default();
             let mut scores = Vec::with_capacity(part.len());
-            let max_items = self.config.batch_size.max(1);
-            for span in unions(part, max_items, SubgraphTensor::num_nodes) {
-                let union = TensorBatch::union(span, &mut buffers);
-                let logits = self.forward(&union, &mut buffers).into_logits(&mut buffers);
-                scores.extend(logits.into_iter().map(sigmoid));
-                union.recycle(&mut buffers);
+            for span in unions(
+                part,
+                self.config.batch_size.max(1),
+                SubgraphTensor::num_nodes,
+            ) {
+                let forward = self.forward(&TensorBatch::union(span));
+                scores.extend(forward.head.logits().iter().map(|&l| sigmoid(l)));
             }
             scores
         })
@@ -574,11 +525,7 @@ impl Dgcnn {
         graph: &SubgraphTensor,
         label: f64,
     ) -> (Vec<ConvGrads>, DenseGrads, f64) {
-        let pass = self.backward(
-            &TensorBatch::single(graph),
-            &[label],
-            &mut Buffers::default(),
-        );
+        let pass = self.backward(&TensorBatch::single(graph), &[label]);
         let mut head = self.head.zero_gradients();
         self.head.add_gradients(&pass.head, &mut head);
         let convs = pass
@@ -605,8 +552,7 @@ impl Dgcnn {
         assert!(!graphs.is_empty(), "a mini-batch needs an example");
         let batch: Vec<usize> = (0..graphs.len()).collect();
         let rebuilds = autolock_obs::counter("gnn.tensor_rebuilds");
-        let pools: Vec<Mutex<Buffers>> = (0..self.workers()).map(|_| Mutex::default()).collect();
-        self.minibatch(&SliceSource::new(graphs, labels), &batch, &rebuilds, &pools)
+        self.minibatch(&SliceSource::new(graphs, labels), &batch, &rebuilds)
     }
 
     /// The loss of one example (for finite differences).

@@ -1,6 +1,5 @@
 //! Enclosing subgraphs as tensors: normalized adjacency + node features.
 
-use crate::buffers::Buffers;
 use autolock_mlcore::Matrix;
 use autolock_netlist::graph::EnclosingSubgraph;
 use autolock_netlist::{GateKind, Netlist};
@@ -185,27 +184,8 @@ impl SubgraphTensor {
     ///
     /// Panics if `m.rows() != num_nodes()`.
     pub fn propagate(&self, m: &Matrix) -> Matrix {
+        assert_eq!(m.rows(), self.num_nodes(), "propagate shape mismatch");
         let mut out = Matrix::zeros(m.rows(), m.cols());
-        self.propagate_into(m, &mut out);
-        out
-    }
-
-    /// Sparse product with the transpose, `Âᵀ · m` (the backward direction of
-    /// [`Self::propagate`]): row `j` sums its terms in increasing source row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m.rows() != num_nodes()`.
-    pub fn propagate_transpose(&self, m: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(m.rows(), m.cols());
-        self.propagate_transpose_into(m, &mut out);
-        out
-    }
-
-    /// [`Self::propagate`] into `out`, which must be zeroed and shaped like
-    /// `m`.
-    pub(crate) fn propagate_into(&self, m: &Matrix, out: &mut Matrix) {
-        self.check_operands(m, out);
         for i in 0..self.num_nodes() {
             let (cols, vals) = (
                 &self.col[self.row_ptr[i]..self.row_ptr[i + 1]],
@@ -218,12 +198,18 @@ impl SubgraphTensor {
                 }
             }
         }
+        out
     }
 
-    /// [`Self::propagate_transpose`] into `out`, which must be zeroed and
-    /// shaped like `m`.
-    pub(crate) fn propagate_transpose_into(&self, m: &Matrix, out: &mut Matrix) {
-        self.check_operands(m, out);
+    /// Sparse product with the transpose, `Âᵀ · m` (the backward direction of
+    /// [`Self::propagate`]): row `j` sums its terms in increasing source row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m.rows() != num_nodes()`.
+    pub fn propagate_transpose(&self, m: &Matrix) -> Matrix {
+        assert_eq!(m.rows(), self.num_nodes(), "propagate shape mismatch");
+        let mut out = Matrix::zeros(m.rows(), m.cols());
         for i in 0..self.num_nodes() {
             let span = self.row_ptr[i]..self.row_ptr[i + 1];
             for (&j, &w) in self.col[span.clone()].iter().zip(&self.val[span]) {
@@ -233,15 +219,7 @@ impl SubgraphTensor {
                 }
             }
         }
-    }
-
-    fn check_operands(&self, m: &Matrix, out: &Matrix) {
-        assert_eq!(m.rows(), self.num_nodes(), "propagate shape mismatch");
-        assert_eq!(
-            (out.rows(), out.cols()),
-            (m.rows(), m.cols()),
-            "propagate output shape mismatch"
-        );
+        out
     }
 }
 
@@ -270,13 +248,12 @@ impl<'a> TensorBatch<'a> {
         }
     }
 
-    /// The disjoint union of `parts`, in order, with its features and
-    /// adjacency values in storage taken from `buffers`.
+    /// The disjoint union of `parts`, in order.
     ///
     /// # Panics
     ///
     /// Panics if the parts' feature dimensionalities differ.
-    pub(crate) fn union<T: Borrow<SubgraphTensor>>(parts: &[T], buffers: &mut Buffers) -> Self {
+    pub(crate) fn union<T: Borrow<SubgraphTensor>>(parts: &[T]) -> Self {
         let f = parts.first().map_or(0, |p| p.borrow().feature_dim());
         let mut offsets = Vec::with_capacity(parts.len() + 1);
         offsets.push(0);
@@ -292,17 +269,17 @@ impl<'a> TensorBatch<'a> {
             nnz += part.num_entries();
         }
         let n = offsets[parts.len()];
-        let mut x = buffers.zeros(n, f);
+        let mut x = Matrix::zeros(n, f);
         let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0);
         let mut col = Vec::with_capacity(nnz);
-        let mut val = buffers.vec(nnz);
+        let mut val = Vec::with_capacity(nnz);
         for (part, &first_row) in parts.iter().zip(&offsets) {
             let part = part.borrow();
             let first_entry = col.len();
             x.data_mut()[first_row * f..(first_row + part.num_nodes()) * f]
                 .copy_from_slice(part.x.data());
-            val[first_entry..first_entry + part.num_entries()].copy_from_slice(&part.val);
+            val.extend_from_slice(&part.val);
             row_ptr.extend(part.row_ptr[1..].iter().map(|&p| p + first_entry));
             col.extend(part.col.iter().map(|&j| j + first_row));
         }
@@ -315,14 +292,6 @@ impl<'a> TensorBatch<'a> {
         TensorBatch {
             graph: Cow::Owned(graph),
             offsets,
-        }
-    }
-
-    /// Gives an owned union's storage back to `buffers`.
-    pub(crate) fn recycle(self, buffers: &mut Buffers) {
-        if let Cow::Owned(graph) = self.graph {
-            buffers.give_matrix(graph.x);
-            buffers.give(graph.val);
         }
     }
 
@@ -488,7 +457,7 @@ mod tests {
             .enumerate()
             .map(|(i, &n)| ring_with_chords(n, 30 + i as u64))
             .collect();
-        let batch = TensorBatch::union(&parts, &mut Buffers::default());
+        let batch = TensorBatch::union(&parts);
         assert_eq!(batch.len(), 3);
         let union = batch.graph();
         assert_eq!(union.num_nodes(), 51);

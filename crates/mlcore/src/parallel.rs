@@ -39,6 +39,22 @@ pub fn pooled_map<T: Sync, R: Send>(
     }
 }
 
+/// Splits `items` into at most `threads` contiguous parts of near-equal
+/// length (`0` = one per available core, as [`pooled_map`] resolves it), for
+/// a pooled map over the parts whose results are reduced in part order.
+/// Empty for empty `items`.
+pub fn contiguous_parts<T>(threads: usize, items: &[T]) -> Vec<&[T]> {
+    if items.is_empty() {
+        return Vec::new();
+    }
+    let workers = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("failed to build rayon thread pool")
+        .current_num_threads();
+    items.chunks(items.len().div_ceil(workers)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,5 +73,21 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(pooled_map(0, &empty, |&v| v).is_empty());
         assert_eq!(pooled_map(0, &[9u32], |&v| v + 1), vec![10]);
+    }
+
+    #[test]
+    fn contiguous_parts_cover_items_in_order() {
+        let items: Vec<usize> = (0..10).collect();
+        let lens = |threads| {
+            contiguous_parts(threads, &items)
+                .iter()
+                .map(|p| p.len())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lens(1), vec![10]);
+        assert_eq!(lens(3), vec![4, 4, 2]);
+        assert_eq!(lens(16), vec![1; 10]);
+        assert_eq!(contiguous_parts(0, &items).concat(), items);
+        assert!(contiguous_parts(4, &[] as &[usize]).is_empty());
     }
 }
