@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the shared `mlcore` dense-kernel layer: the blocked
 //! `matmul`/`matmul_tn`/`matmul_nt` against their naive references, the
-//! workspace `tanh` row kernel against the libm's `f64::tanh`, and the
-//! parallel MLP-ensemble fan-out against serial training/scoring.
+//! workspace `tanh` row kernel against the libm's `f64::tanh`, one serial
+//! MLP-ensemble training at the AutoLock fitness shape, and the parallel
+//! MLP-ensemble fan-out against serial training/scoring.
 //!
 //! Besides the usual Criterion entries, this bench writes a
 //! **machine-readable perf trajectory** to
@@ -178,6 +179,33 @@ fn bench_ensemble_parallel(c: &mut Criterion) {
     group.finish();
 }
 
+/// One serial `MlpEnsemble::train` at the shape an AutoLock fitness
+/// evaluation trains: 600 examples of 66 link features, one hidden layer of
+/// 16, 5 members, batches of 32, 30 epochs (6 in quick mode). Printed only;
+/// the trajectory does not record it.
+fn bench_mlp_step(c: &mut Criterion) {
+    let data = ensemble_dataset(600, 66);
+    let config = MlpEnsembleConfig {
+        mlp: MlpConfig {
+            input_dim: 66,
+            hidden: vec![16],
+            epochs: if quick() { 6 } else { 30 },
+            batch_size: 32,
+            ..Default::default()
+        },
+        members: 5,
+        threads: 1,
+    };
+    let mut group = c.benchmark_group("K3_mlp_step");
+    group.bench_function("train_600x66_h16_5members", |bch| {
+        bch.iter(|| {
+            let mut rng = ChaCha8Rng::seed_from_u64(7);
+            MlpEnsemble::train(config.clone(), black_box(&data), &mut rng)
+        })
+    });
+    group.finish();
+}
+
 // ---------------------------------------------------------------------------
 // Machine-readable trajectory (shared schema: autolock_bench::trajectory)
 // ---------------------------------------------------------------------------
@@ -321,6 +349,6 @@ fn emit_trajectory(_c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = bench_config();
-    targets = bench_blocked_vs_naive, bench_tanh, bench_ensemble_parallel, emit_trajectory
+    targets = bench_blocked_vs_naive, bench_tanh, bench_mlp_step, bench_ensemble_parallel, emit_trajectory
 }
 criterion_main!(kernels);

@@ -11,6 +11,28 @@
 //! the fixed-size `[f64; NR]` accumulator arrays are enough for LLVM to emit
 //! packed adds/muls on any target.
 //!
+//! `matmul_nt` packs `NR` rows of B the same way and feeds each strip to an
+//! `MR × NR` accumulator block, `MR` rows of A at a time; the `m % MR` rows
+//! and the last `w < NR` strip run a single-row loop.
+//!
+//! # Shape routes
+//!
+//! A product with one row, one column or depth one has nothing to block, and
+//! packing a panel for it costs more than its arithmetic. Each entry point
+//! hands those shapes to a vector kernel that runs every output's chain term
+//! for term (`a·b == b·a` bitwise, so operand order does not matter):
+//!
+//! | shape | `matmul_nn` | `matmul_tn` | `matmul_nt` |
+//! |-------|-------------|-------------|-------------|
+//! | `m = 1` | `matvec_t` over B | `matvec_t` over B | `matvec` over B |
+//! | `n = 1` | `matvec` over A, from `out` | `matvec_t` over A | `matvec` over A |
+//! | `k = 1` | one `out += a·b` pass | blocked | blocked |
+//!
+//! `nn` and `tn` keep their `out +=` contract (each chain continues from
+//! `out`); `nt` zeroes `out` first, which starts each chain from `+0.0`.
+//! The MLP's one-output layer, the DGCNN's one-channel conv and its dense
+//! head's last layer and one-example batches take these routes.
+//!
 //! Each kernel has one portable body. On x86-64 the public entry points also
 //! carry an AVX2 build of that body and choose it at run time when the CPU
 //! supports AVX2; the result is the same bit for bit (see the crate README,
@@ -97,15 +119,30 @@ avx2_dispatch! {
 #[inline(always)]
 fn matmul_nn_portable(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     check_dims(m, k, n, a, b, out);
-    gebp(
-        m,
-        k,
-        n,
-        #[inline(always)]
-        |r, kk| a[r * k + kk],
-        b,
-        out,
-    );
+    if m == 1 {
+        // `out += a·B` adds row `kk` of B scaled by `a[kk]`, k in order.
+        matvec_t_portable(n, b, a, out);
+    } else if n == 1 {
+        // Each output is a row of A dotted with B's one column.
+        matvec_portable(k, a, b, out);
+    } else if k == 1 {
+        // Each output gains its one term `A[r][0] · B[0][j]`.
+        for (r, &av) in a.iter().enumerate() {
+            for (o, &bv) in out[r * n..(r + 1) * n].iter_mut().zip(b) {
+                *o += av * bv;
+            }
+        }
+    } else {
+        gebp(
+            m,
+            k,
+            n,
+            #[inline(always)]
+            |r, kk| a[r * k + kk],
+            b,
+            out,
+        );
+    }
 }
 
 /// The shared GEBP driver behind [`matmul_nn`] and [`matmul_tn`]:
@@ -276,24 +313,33 @@ fn matmul_tn_portable(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &
     debug_assert_eq!(a.len(), k * m, "A must be k*m");
     debug_assert_eq!(b.len(), k * n, "B must be k*n");
     debug_assert_eq!(out.len(), m * n, "out must be m*n");
-    gebp(
-        m,
-        k,
-        n,
-        #[inline(always)]
-        |r, kk| a[kk * m + r],
-        b,
-        out,
-    );
+    if m == 1 {
+        // A is one column: row `kk` of B scaled by `A[kk][0]`, k in order.
+        matvec_t_portable(n, b, a, out);
+    } else if n == 1 {
+        // B is one column: row `kk` of A scaled by `B[kk][0]`, k in order.
+        matvec_t_portable(m, a, b, out);
+    } else {
+        gebp(
+            m,
+            k,
+            n,
+            #[inline(always)]
+            |r, kk| a[kk * m + r],
+            b,
+            out,
+        );
+    }
 }
 
 avx2_dispatch! {
     /// Blocked `out = A · Bᵀ` for row-major `A (m×k)`, `B (n×k)`, `out (m×n)`.
     ///
     /// Packs `NR` rows of B interleaved (`panel[kk·w + t] = B[c0+t][kk]`) so
-    /// the micro-kernel reads both operands contiguously while computing `NR`
-    /// dot products at once; each product accumulates k in order from `0.0`,
-    /// matching the naive dot-product loop bit for bit.
+    /// the micro-kernel reads the strip contiguously while computing
+    /// `MR × NR` dot products at once; each product accumulates k in order
+    /// from `0.0`, matching the naive dot-product loop bit for bit. One-row
+    /// and one-column products run `matvec` instead (see the module docs).
     pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64])
         => matmul_nt_portable
 }
@@ -306,6 +352,14 @@ fn matmul_nt_portable(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &
     if m == 0 || n == 0 {
         return; // k == 0 leaves the zeroed output: every dot product is empty
     }
+    if m == 1 || n == 1 {
+        // One row of A against the rows of B, or the rows of A against B's
+        // one row: the dot products of `matvec`, each from `0.0`.
+        out.fill(0.0);
+        let (rows, x) = if m == 1 { (b, a) } else { (a, b) };
+        matvec_portable(k, rows, x, out);
+        return;
+    }
     let mut panel = vec![0.0f64; k * NR];
     for c0 in (0..n).step_by(NR) {
         let w = NR.min(n - c0);
@@ -315,9 +369,29 @@ fn matmul_nt_portable(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &
             }
         }
         let panel = &panel[..k * w];
-        // No row blocking here: there is no k-panelling, so the packed B
-        // strip is reused identically by every row — MC would be a no-op.
-        for r in 0..m {
+        let mut r = 0;
+        if w == NR {
+            // `MR × NR` accumulators: each packed strip row is loaded once
+            // for `MR` rows of A.
+            while r + MR <= m {
+                let rows: [&[f64]; MR] = std::array::from_fn(|i| &a[(r + i) * k..(r + i + 1) * k]);
+                let mut acc = [[0.0f64; NR]; MR];
+                for (kk, p) in panel.chunks_exact(NR).enumerate() {
+                    for (acc_row, a_row) in acc.iter_mut().zip(rows) {
+                        let av = a_row[kk];
+                        for t in 0..NR {
+                            acc_row[t] += av * p[t];
+                        }
+                    }
+                }
+                for (i, acc_row) in acc.iter().enumerate() {
+                    out[(r + i) * n + c0..][..NR].copy_from_slice(acc_row);
+                }
+                r += MR;
+            }
+        }
+        // The `m % MR` rows, and every row of a `w < NR` strip.
+        for r in r..m {
             let a_row = &a[r * k..(r + 1) * k];
             let out_row = &mut out[r * n + c0..r * n + c0 + w];
             if w == NR {
@@ -343,9 +417,11 @@ fn matmul_nt_portable(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &
 }
 
 avx2_dispatch! {
-    /// The kernel behind [`crate::Matrix::matvec`]: `out = A · x` for
-    /// row-major `A (out.len() × cols)`, overwriting `out`, four rows at a
-    /// time; the `rows mod 4` remainder rows run the serial loop.
+    /// The kernel behind [`crate::Matrix::matvec`]: `out += A · x` for
+    /// row-major `A (out.len() × cols)`, four rows at a time; the
+    /// `rows mod 4` remainder rows run the serial loop. Each row's chain
+    /// starts from its `out` entry, so a zeroed `out` gives the plain
+    /// dot products, whose chains start from `+0.0` as well.
     pub(crate) fn matvec(cols: usize, a: &[f64], x: &[f64], out: &mut [f64]) => matvec_portable
 }
 
@@ -353,9 +429,8 @@ avx2_dispatch! {
 fn matvec_portable(cols: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
     debug_assert_eq!(a.len(), out.len() * cols, "A must be rows*cols");
     debug_assert_eq!(x.len(), cols, "x must have cols entries");
-    // `chunks_exact` needs a nonzero width; an empty row sums to 0.0.
+    // `chunks_exact` needs a nonzero width; an empty row adds nothing.
     if cols == 0 {
-        out.fill(0.0);
         return;
     }
     let mut blocks = a.chunks_exact(4 * cols);
@@ -364,7 +439,7 @@ fn matvec_portable(cols: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
         let (r0, rest) = block.split_at(cols);
         let (r1, rest) = rest.split_at(cols);
         let (r2, r3) = rest.split_at(cols);
-        let mut acc = [0.0; 4];
+        let mut acc = [o[0], o[1], o[2], o[3]];
         for ((((a0, a1), a2), a3), b) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
             acc[0] += a0 * b;
             acc[1] += a1 * b;
@@ -378,7 +453,7 @@ fn matvec_portable(cols: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
         .chunks_exact(cols)
         .zip(outs.into_remainder())
     {
-        let mut acc = 0.0;
+        let mut acc = *o;
         for (a, b) in row.iter().zip(x) {
             acc += a * b;
         }
@@ -521,9 +596,9 @@ pub(crate) mod tests {
     }
 
     /// Shapes `(m, k, n)` covering zero-sized dimensions, the `MR`/`NR`
-    /// remainder rows and columns, depth past one `KC` panel and width past
-    /// one `NC` panel.
-    const EDGE_SHAPES: [(usize, usize, usize); 9] = [
+    /// remainder rows and columns, depth past one `KC` panel, width past
+    /// one `NC` panel, and the one-row, one-column and depth-one routes.
+    const EDGE_SHAPES: [(usize, usize, usize); 12] = [
         (0, 5, 7),
         (6, 0, 7),
         (6, 5, 0),
@@ -533,6 +608,9 @@ pub(crate) mod tests {
         (MR + 1, KC + 13, NR + 3),
         (MC + 7, KC + 13, NC + NR + 3),
         (9, 2 * KC + 1, 2),
+        (1, 9, 2 * NR + 3),
+        (2 * MR + 3, 9, 1),
+        (2 * MR + 3, 1, 2 * NR + 3),
     ];
 
     /// On an AVX2 machine the entry points run the AVX2 build, so these

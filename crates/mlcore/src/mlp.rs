@@ -286,10 +286,11 @@ impl Mlp {
                 let back = &mut buf.next_delta[..b * inputs];
                 back.fill(0.0);
                 kernels::matmul_nn(b, outputs, inputs, delta, layer.weights.data(), back);
+                // A select, not a conditional store: about half the
+                // activations are zero, so a branch would mispredict and
+                // keep the loop scalar.
                 for (d, &a) in back.iter_mut().zip(input) {
-                    if a <= 0.0 {
-                        *d = 0.0;
-                    }
+                    *d = if a <= 0.0 { 0.0 } else { *d };
                 }
                 std::mem::swap(&mut buf.delta, &mut buf.next_delta);
             }

@@ -239,3 +239,58 @@ fn batched_mlp_products_match_per_example_chains_across_panels() {
     let delta = edge_case_matrix(batch, 13, 13);
     assert_batched_products_match_per_example_chains(&a, &w, &delta);
 }
+
+/// The one-row (`m = 1`), one-column (`n = 1`) and depth-one (`k = 1`)
+/// products, which the entry points hand to the vector kernels, against the
+/// naive loops, on operands with signed zeros and subnormals. `nn` and `tn`
+/// add to an output that already holds a partial sum (signed zeros
+/// included), so each chain must continue from it; `nt` overwrites an output
+/// filled with stale values. The last shape is a row-blocked `nt` with two
+/// `MR` blocks, a remainder row and a `w < NR` strip.
+#[test]
+fn degenerate_shape_routes_match_naive_at_ieee_edges() {
+    use kernels::{MR, NR};
+    type Kernel = fn(usize, usize, usize, &[f64], &[f64], &mut [f64]);
+    let pairs: [(&str, Kernel, Kernel); 3] = [
+        ("nn", kernels::matmul_nn, kernels::matmul_nn_naive),
+        ("tn", kernels::matmul_tn, kernels::matmul_tn_naive),
+        ("nt", kernels::matmul_nt, kernels::matmul_nt_naive),
+    ];
+    let shapes = [
+        (1, 1, 1),
+        (1, 0, 5),
+        (5, 0, 1),
+        (1, 7, 2 * NR + 3),
+        (1, kernels::KC + 5, 3),
+        (2 * MR + 3, 7, 1),
+        (MR, kernels::KC + 5, 1),
+        (2 * MR + 3, 1, 2 * NR + 3),
+        (2 * MR + 1, 7, NR + 3),
+    ];
+    for (seed, &(m, k, n)) in shapes.iter().enumerate() {
+        let seed = 3 * seed as u64;
+        let a = edge_case_matrix(m, k, seed);
+        let b = edge_case_matrix(k, n, seed + 1);
+        let start = edge_case_matrix(m, n, seed + 2);
+        for (name, routed, naive) in pairs {
+            // `tn` reads its operands as `(k, m, n)`; the element counts are
+            // the same. `nt` overwrites, so start it from stale values.
+            let (d0, d1) = if name == "tn" { (k, m) } else { (m, k) };
+            let mut got = start.data().to_vec();
+            let mut want = start.data().to_vec();
+            if name == "nt" {
+                got.fill(7.0);
+                want.fill(7.0);
+            }
+            routed(d0, d1, n, a.data(), b.data(), &mut got);
+            naive(d0, d1, n, a.data(), b.data(), &mut want);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{name} {m}x{k}x{n}, element {i}: {g} vs {w}"
+                );
+            }
+        }
+    }
+}

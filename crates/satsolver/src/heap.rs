@@ -19,12 +19,18 @@ fn before(activity: &[f64], a: u32, b: u32) -> bool {
 /// The heap never owns the activities; every operation that compares reads
 /// them from the slice it is given, so the caller keeps the single copy in
 /// the solver. Removal is lazy: assigned variables may stay in the heap and
-/// are skipped by the caller when popped.
+/// are skipped by the caller when popped. Insertion of a new variable is
+/// deferred: [`VarHeap::push_var`] registers it as absent, and the caller
+/// inserts the ones still unassigned ([`VarHeap::take_new`]) before its next
+/// pop, so variables fixed in the meantime never enter the heap.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct VarHeap {
     heap: Vec<u32>,
     /// `position[v]` = index of `v` in `heap`, or [`ABSENT`].
     position: Vec<u32>,
+    /// Variables from this index on were registered after the last
+    /// [`VarHeap::take_new`] and have not been offered for insertion yet.
+    pending: usize,
 }
 
 impl VarHeap {
@@ -33,6 +39,7 @@ impl VarHeap {
         let mut h = VarHeap {
             heap: vars.into_iter().map(|v| v as u32).collect(),
             position: vec![ABSENT; activity.len()],
+            pending: activity.len(),
         };
         for (i, &v) in h.heap.iter().enumerate() {
             h.position[v as usize] = i as u32;
@@ -41,11 +48,24 @@ impl VarHeap {
         h
     }
 
-    /// Registers a new variable (with index `position.len()`) and inserts it.
-    pub(crate) fn push_var(&mut self, activity: &[f64]) {
-        let v = self.position.len();
+    /// Registers a new variable (with index `position.len()`), absent until
+    /// the caller inserts it after [`VarHeap::take_new`].
+    pub(crate) fn push_var(&mut self) {
         self.position.push(ABSENT);
-        self.insert(Var(v as u32), activity);
+    }
+
+    /// The variables registered since the last call, which the caller
+    /// inserts if they are still unassigned.
+    pub(crate) fn take_new(&mut self) -> std::ops::Range<usize> {
+        let new = self.pending..self.position.len();
+        self.pending = self.position.len();
+        new
+    }
+
+    /// `true` if `v` is in the heap.
+    #[cfg(test)]
+    pub(crate) fn contains(&self, v: Var) -> bool {
+        self.position[v.index()] != ABSENT
     }
 
     /// Inserts `v` unless it is already in the heap.

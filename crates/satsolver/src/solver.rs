@@ -281,7 +281,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
-        self.order.push_var(&self.activity);
+        self.order.push_var();
         self.seen.push(false);
         self.polarity.push(false);
         self.watches.push(Vec::new());
@@ -589,9 +589,17 @@ impl Solver {
     }
 
     /// The next decision variable: the unassigned variable first in
-    /// decision order (see [`Solver`]). Assigned variables popped on the way
-    /// are dropped; `cancel_until` puts them back when they are unassigned.
+    /// decision order (see [`Solver`]). Variables created since the last
+    /// pick enter the heap here, unless they were fixed in the meantime (the
+    /// circuit copies of a DIP are fixed at level 0 before the next solve).
+    /// Assigned variables popped on the way are dropped; `cancel_until` puts
+    /// them back when they are unassigned.
     fn pick_branch_var(&mut self) -> Option<Var> {
+        for v in self.order.take_new() {
+            if self.assigns[v] == UNDEF {
+                self.order.insert(Var(v as u32), &self.activity);
+            }
+        }
         let pick = loop {
             match self.order.pop(&self.activity) {
                 Some(v) if self.assigns[v.index()] != UNDEF => {}
@@ -1102,6 +1110,64 @@ mod tests {
         s.trail_lim.push(s.trail.len());
         s.unchecked_enqueue(Lit::pos(v[4]), None);
         assert_eq!(s.pick_branch_var(), Some(v[0]));
+    }
+
+    /// The heap holds no assigned variable: every variable in it is still
+    /// unassigned (checked at level 0, where nothing lingers from a search).
+    fn assert_heap_holds_only_unassigned(s: &Solver) {
+        for v in 0..s.num_vars() {
+            let v = Var(v as u32);
+            assert!(
+                !s.order.contains(v) || s.assigns[v.index()] == UNDEF,
+                "assigned {v:?} is in the heap"
+            );
+        }
+    }
+
+    /// A circuit copy added between solves and fixed at level 0, as each DIP
+    /// adds, never enters the decision heap; new free variables do, at the
+    /// next pick, and so do variables created mid-solve for an assumption.
+    #[test]
+    fn variables_fixed_at_level_zero_never_enter_the_heap() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 4);
+        s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]);
+        s.add_clause(&[Lit::neg(v[0]), Lit::pos(v[2]), Lit::neg(v[3])]);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_heap_holds_only_unassigned(&s);
+
+        // The copy: an input fixed by a unit clause, and a chain of buffers
+        // that propagation fixes with it.
+        let copy = lits(&mut s, 12);
+        let free = lits(&mut s, 3);
+        s.add_clause(&[Lit::pos(copy[0])]);
+        for w in copy.windows(2) {
+            s.add_clause(&[Lit::neg(w[0]), Lit::pos(w[1])]);
+            s.add_clause(&[Lit::pos(w[0]), Lit::neg(w[1])]);
+        }
+        s.add_clause(&[Lit::neg(free[0]), Lit::pos(copy[11]), Lit::pos(free[2])]);
+        assert!(copy
+            .iter()
+            .all(|&c| s.assigns[c.index()] == 1 && s.level[c.index()] == 0));
+
+        // A pick (checked against the scan) inserts the free variables only.
+        let pick = s.pick_branch_var().expect("free variables remain");
+        assert_heap_holds_only_unassigned(&s);
+        assert!(copy.iter().all(|&c| !s.order.contains(c)));
+        assert!(free.iter().all(|&f| f == pick || s.order.contains(f)));
+        s.order.insert(pick, &s.activity);
+
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_heap_holds_only_unassigned(&s);
+        // An assumption on an unknown variable creates it mid-solve.
+        let fresh = Var(s.num_vars() as u32 + 2);
+        assert_eq!(
+            s.solve_with_assumptions(&[Lit::neg(fresh)]),
+            SolveResult::Sat
+        );
+        assert_eq!(s.value(fresh), Some(false));
+        assert_heap_holds_only_unassigned(&s);
+        assert!((fresh.index() - 2..=fresh.index()).all(|v| s.order.contains(Var(v as u32))));
     }
 
     /// Brute-force model check used by the random CNF test below.
