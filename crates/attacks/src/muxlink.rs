@@ -94,27 +94,10 @@ pub struct MuxLinkConfig {
     pub ensemble: usize,
     /// Margin above which a key-bit prediction counts as "confident".
     pub confidence_threshold: f64,
-    /// Worker threads for everything parallel inside one attack invocation:
-    /// `0` = all available cores, `1` = serial, `n` = exactly `n`. The
-    /// attack outcome is bit-for-bit identical for every setting; this knob
-    /// only trades wall-clock time.
-    ///
-    /// This is the **single source of truth** for attack-level parallelism
-    /// — the precedence chain, top to bottom:
-    ///
-    /// 1. Experiment drivers that fan whole attack repeats or per-circuit
-    ///    runs across workers (`autolock_bench::parallel_map`, sized by the
-    ///    `AUTOLOCK_THREADS` env var) sit *above* the attack and should set
-    ///    this knob to `1` so nested pools do not oversubscribe the machine.
-    /// 2. Within one attack, this value reaches **both backends**: it sizes
-    ///    the MLP bagged-ensemble pool ([`autolock_mlcore::MlpEnsembleConfig::threads`]),
-    ///    the GNN training pool ([`autolock_gnn::DgcnnConfig::num_threads`]),
-    ///    and the shared candidate-scoring / tensor-construction fan-outs.
-    /// 3. `DgcnnConfig::num_threads` is never set independently by this
-    ///    crate; standalone `autolock_gnn` users may still set it directly.
-    ///
-    /// Because thread count never changes outcomes, presets stay
-    /// reproducible across machines with any core count.
+    /// Worker threads for everything parallel inside one attack, in both
+    /// backends (`0` = all cores, `1` = serial): a wall-clock knob that
+    /// never changes the outcome and follows the nesting rule of
+    /// [`autolock_mlcore::parallel::pooled_map`].
     pub threads: usize,
     /// SortPooling output size of the GNN backend: a fixed `k`, or
     /// [`SortPoolK::Percentile`] to apply DGCNN's dataset-percentile rule to
@@ -189,10 +172,8 @@ impl MuxLinkConfig {
         }
     }
 
-    /// Sets the attack's thread count (`0` = all cores, `1` = serial),
-    /// reaching both backends — see [`MuxLinkConfig::threads`] for the
-    /// precedence rules. Purely a wall-clock knob: outcomes are identical
-    /// for every value.
+    /// Sets [`MuxLinkConfig::threads`], a wall-clock knob that follows the
+    /// nesting rule of [`autolock_mlcore::parallel::pooled_map`].
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -58,9 +58,9 @@ pub struct AutoLockConfig {
     /// Island-model topology. `islands.islands <= 1` keeps the classic
     /// single-population GA; anything larger fans subpopulations across
     /// `islands.threads` workers with deterministic ring migration (results
-    /// are bit-identical for every thread count). The island fan-out becomes
-    /// the parallelism level, so `parallel` and the attack thread knob are
-    /// forced serial underneath it.
+    /// are bit-identical for every thread count). Fan-outs beneath the
+    /// islands follow the nesting rule of
+    /// `autolock_mlcore::parallel::pooled_map`.
     pub islands: IslandConfig,
     /// Surrogate screening for island runs: a cheap attack configuration
     /// (typically the MLP backend) that ranks each generation so only the

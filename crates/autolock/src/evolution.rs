@@ -112,20 +112,10 @@ impl EvolutionJob {
             .map(|_| cfg.locking.select_loci(&original, cfg.key_len, &mut rng))
             .collect::<std::result::Result<Vec<_>, _>>()?;
 
-        // Step 2: fitness = 1 - MuxLink accuracy. When the GA itself fans
-        // fitness evaluations across all cores, each in-loop attack must run
-        // serially — the thread-knob precedence rule documented on
-        // `MuxLinkConfig::threads` — or every worker would nest its own
-        // all-core pools. Thread count never changes attack outcomes, so
-        // this only affects wall clock.
-        let attack_config = if cfg.parallel || use_islands {
-            cfg.attack.clone().with_threads(1)
-        } else {
-            cfg.attack.clone()
-        };
+        // Step 2: fitness = 1 - MuxLink accuracy.
         let mut fitness = MuxLinkFitness::new(
             original.clone(),
-            attack_config,
+            cfg.attack.clone(),
             cfg.seed,
             cfg.attack_repeats,
         );
@@ -137,13 +127,8 @@ impl EvolutionJob {
         // scored is still re-scored by the real fitness on its first
         // survival — different context keys keep the values apart.
         let surrogate = cfg.surrogate.as_ref().filter(|_| use_islands).map(|sc| {
-            MuxLinkFitness::new(
-                original.clone(),
-                sc.clone().with_threads(1),
-                cfg.seed,
-                cfg.attack_repeats,
-            )
-            .with_cache(fitness.cache().clone())
+            MuxLinkFitness::new(original.clone(), sc.clone(), cfg.seed, cfg.attack_repeats)
+                .with_cache(fitness.cache().clone())
         });
 
         // Step 3: evolutionary operators over the locus-list genotype.
@@ -156,8 +141,7 @@ impl EvolutionJob {
             mutation_rate: cfg.mutation_rate,
             elitism: cfg.elitism,
             selection: cfg.selection,
-            // Under islands, the island fan-out is the parallelism level.
-            parallel: cfg.parallel && !use_islands,
+            parallel: cfg.parallel,
             target_fitness: cfg.target_fitness,
             stagnation_limit: cfg.stagnation_limit,
         });

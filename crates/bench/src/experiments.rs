@@ -47,25 +47,10 @@ fn circuit(name: &str) -> Netlist {
 /// `PairSelectionStrategy::Localized`).
 pub const STRUCTURED_LOCK_RADIUS: usize = 4;
 
-/// Thread count for an attack that runs directly under the driver-level
-/// repeat fan-out: serial while the driver pool is fanning (the precedence
-/// chain documented on `MuxLinkConfig::threads` — nesting an all-cores pool
-/// per attack under [`parallel_map`] would only oversubscribe), but all
-/// cores when `AUTOLOCK_THREADS=1` makes the driver serial, so that mode
-/// still uses the machine via intra-attack parallelism. Thread count never
-/// changes outcomes either way.
-fn attack_threads() -> usize {
-    if crate::experiment_threads() == 1 {
-        0
-    } else {
-        1
-    }
-}
-
 /// The independent evaluation attack: the same MuxLink pipeline, but freshly
 /// retrained with seeds never used inside the GA loop.
 fn evaluation_attack() -> MuxLinkAttack {
-    MuxLinkAttack::new(MuxLinkConfig::default().with_threads(attack_threads()))
+    MuxLinkAttack::new(MuxLinkConfig::default())
 }
 
 /// MuxLink accuracy of the evaluation attack on a locked netlist, averaged
@@ -477,11 +462,9 @@ pub fn e8_multi_objective(scale: Scale) -> ResultTable {
     let initial: Vec<autolock::LockingGenotype> = (0..pop)
         .map(|_| autolock::random_genotype(&original, key_len, &mut rng).unwrap())
         .collect();
-    // NSGA-II evaluates the population in parallel, so the in-loop attack
-    // runs serially (the thread-knob precedence rule).
     let fitness = MultiObjectiveLockingFitness::new(
         original.clone(),
-        MuxLinkConfig::fast().with_threads(1),
+        MuxLinkConfig::fast(),
         SatAttackConfig {
             max_iterations: 100,
             ..SatAttackConfig::default()
@@ -596,15 +579,10 @@ pub fn e10_backend_comparison(scale: Scale) -> ResultTable {
                 MuxLinkConfig::gnn().with_adaptive_k(0.6),
             ),
         ] {
-            // The three retrains fan across the driver pool; each attack
-            // runs serially underneath (`attack_threads`, the thread-knob
-            // precedence rule), and accuracies reduce in fixed seed order.
-            // Runtime is wall clock per attack, timed inside the fan-out:
-            // with enough idle cores it matches the serial per-attack cost,
-            // but when workers oversubscribe the machine it includes
-            // time-slicing — run with AUTOLOCK_THREADS=1 for the cleanest
-            // runtime column.
-            let attack = MuxLinkAttack::new(config.with_threads(attack_threads()));
+            // Runtime is wall clock per attack, timed inside the seed fan-out;
+            // AUTOLOCK_THREADS=1 runs every attack fully serial (the nesting
+            // rule on `pooled_map`), the cleanest runtime column.
+            let attack = MuxLinkAttack::new(config);
             let seeds: Vec<u64> = (0..3u64).map(|s| 0xE10A + s).collect();
             let runs = parallel_map(&seeds, |&s| {
                 let mut rng = ChaCha8Rng::seed_from_u64(s);
@@ -676,26 +654,15 @@ pub fn e11_gnn_adversary_evolution(scale: Scale) -> ResultTable {
         targets.push(("st1355".to_string(), circuit("st1355")));
     }
     // Per-circuit runs are independent, so they fan across the driver pool
-    // (rows collected in fixed target order). Exactly one level of the
-    // stack runs parallel (the precedence rule on `MuxLinkConfig::threads`):
-    // when the circuits actually fan, each AutoLock run evaluates its GA
-    // population serially; when the driver pool is inactive (one target, or
-    // AUTOLOCK_THREADS=1), the GA keeps its all-cores population pool. The
-    // in-loop attack always trains serially — the GA level above it is the
-    // parallel one either way. None of this changes outcomes (the
-    // determinism contract); it only avoids nested-pool oversubscription.
-    let fan_circuits = experiment_threads() != 1 && targets.len() > 1;
+    // (rows collected in fixed target order).
     let rows = parallel_map(&targets, |(name, original)| {
         let mut config = AutoLockConfig {
             key_len,
             population_size,
             generations,
-            attack: MuxLinkConfig::gnn_fast()
-                .with_adaptive_k(0.6)
-                .with_threads(1),
+            attack: MuxLinkConfig::gnn_fast().with_adaptive_k(0.6),
             attack_repeats: 1,
             seed: 0xE11,
-            parallel: !fan_circuits,
             ..Default::default()
         };
         // Structured members evolve from locality-aware seed lockings;
@@ -775,7 +742,7 @@ pub fn e12_size_density_sweep(scale: Scale) -> ResultTable {
             .lock(&original, key_len, &mut rng)
             .expect("structured members have enough lockable wires");
         // One shared instance per cell: repeats reuse the subgraph cache.
-        let attack = MuxLinkAttack::new(MuxLinkConfig::fast().with_threads(attack_threads()));
+        let attack = MuxLinkAttack::new(MuxLinkConfig::fast());
         let mut accuracy = 0.0;
         let mut runtime_ms = 0u128;
         for seed in 0..repeats {

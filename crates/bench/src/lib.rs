@@ -140,17 +140,9 @@ pub fn experiment_suite_scale(scale: Scale) -> autolock_circuits::SuiteScale {
 
 /// Worker count for the experiment drivers' own fan-outs (independent
 /// attack repeats, per-circuit runs): the `AUTOLOCK_THREADS` environment
-/// variable, `0`/unset = all available cores, `1` = serial.
-///
-/// This knob sits *above* the attack-level [`MuxLinkConfig::threads`]
-/// (`autolock_attacks`) in the precedence chain documented there: drivers
-/// that fan whole repeats across workers run each attack with
-/// `threads = 1`, so the machine is never oversubscribed. Like every
-/// thread knob in this workspace it only trades wall clock — results are
-/// bit-for-bit identical for every value because [`parallel_map`] preserves
-/// order and reductions stay serial.
-///
-/// [`MuxLinkConfig::threads`]: autolock_attacks::MuxLinkConfig
+/// variable, `0`/unset = all available cores, `1` = serial: a wall-clock
+/// knob whose fan-outs follow the nesting rule of
+/// [`autolock_mlcore::parallel::pooled_map`].
 pub fn experiment_threads() -> usize {
     std::env::var("AUTOLOCK_THREADS")
         .ok()

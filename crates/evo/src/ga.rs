@@ -4,8 +4,8 @@ use crate::{
     CrossoverOperator, FitnessFunction, GenerationStats, Genotype, MutationOperator,
     SelectionMethod,
 };
+use autolock_mlcore::parallel::pooled_map;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of [`GeneticAlgorithm`].
@@ -23,9 +23,10 @@ pub struct GaConfig {
     pub elitism: usize,
     /// Parent-selection method.
     pub selection: SelectionMethod,
-    /// Evaluate fitness in parallel with rayon. Disable for single-threaded
-    /// determinism checks; results are identical either way because fitness
-    /// functions are required to be deterministic per genotype.
+    /// Evaluate fitness across all cores (`false` = serially), through
+    /// [`pooled_map`] and its nesting rule. Results are identical either way
+    /// because fitness functions are required to be deterministic per
+    /// genotype.
     pub parallel: bool,
     /// Stop early once the best fitness reaches this value (in addition to
     /// any [`FitnessFunction::target`]).
@@ -93,11 +94,8 @@ impl GeneticAlgorithm {
         F: FitnessFunction<G>,
     {
         let _span = autolock_obs::span!("evo.evaluate");
-        if self.config.parallel {
-            population.par_iter().map(|g| fitness.evaluate(g)).collect()
-        } else {
-            population.iter().map(|g| fitness.evaluate(g)).collect()
-        }
+        let threads = if self.config.parallel { 0 } else { 1 };
+        pooled_map(threads, population, |g| fitness.evaluate(g))
     }
 
     /// Runs the GA from an initial population: [`GeneticAlgorithm::init_state`],

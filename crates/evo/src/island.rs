@@ -98,8 +98,8 @@ pub struct IslandGa {
 
 impl IslandGa {
     /// Creates an island engine. The `ga` config applies to every island;
-    /// its `parallel` flag should be off — the island fan-out is the
-    /// parallelism level here.
+    /// under the island fan-out its population evaluation runs inline (the
+    /// nesting rule of [`pooled_map`]).
     pub fn new(ga: GeneticAlgorithm, config: IslandConfig) -> Self {
         IslandGa { ga, config }
     }

@@ -11,7 +11,7 @@
 //!   operators, implemented by the caller,
 //! * [`GeneticAlgorithm`] — the single-objective engine with elitism, early
 //!   stopping, per-generation statistics and optional parallel fitness
-//!   evaluation (rayon),
+//!   evaluation (`autolock_mlcore::parallel::pooled_map`),
 //! * [`nsga2`] — the NSGA-II multi-objective engine used by the
 //!   multi-objective locking experiments (attack accuracy vs. overhead vs.
 //!   SAT resilience).

@@ -10,7 +10,6 @@
 
 use crate::{CrossoverOperator, Genotype, MutationOperator};
 use rand::{Rng, RngCore};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A multi-objective fitness function. Every objective is minimized.
@@ -192,11 +191,8 @@ impl Nsga2 {
         G: Genotype,
         F: MultiObjectiveFitness<G>,
     {
-        if self.config.parallel {
-            population.par_iter().map(|g| fitness.evaluate(g)).collect()
-        } else {
-            population.iter().map(|g| fitness.evaluate(g)).collect()
-        }
+        let threads = if self.config.parallel { 0 } else { 1 };
+        autolock_mlcore::parallel::pooled_map(threads, population, |g| fitness.evaluate(g))
     }
 }
 

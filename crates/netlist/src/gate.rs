@@ -80,12 +80,6 @@ impl GateKind {
         matches!(self, GateKind::Const0 | GateKind::Const1)
     }
 
-    /// Returns `true` if this is a key input.
-    #[inline]
-    pub fn is_key_input(self) -> bool {
-        matches!(self, GateKind::KeyInput)
-    }
-
     /// The valid fan-in arity range `(min, max)` for this gate kind.
     /// `max == usize::MAX` means unbounded.
     pub fn arity(self) -> (usize, usize) {
@@ -262,11 +256,6 @@ impl Gate {
             kind,
             fanin,
         }
-    }
-
-    /// Number of fan-in connections.
-    pub fn fanin_len(&self) -> usize {
-        self.fanin.len()
     }
 }
 

@@ -367,17 +367,6 @@ impl Netlist {
         Ok(self.outputs.iter().map(|o| values[o.index()]).collect())
     }
 
-    /// Returns a deep copy with a fresh name map (used after deserialization,
-    /// where the map is skipped).
-    pub fn rebuild_name_map(&mut self) {
-        self.name_map = self
-            .gates
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.name.clone(), GateId(i as u32)))
-            .collect();
-    }
-
     /// Generates a signal name that is not yet used in this netlist, based on
     /// `prefix`.
     pub fn fresh_name(&self, prefix: &str) -> String {

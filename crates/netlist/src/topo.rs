@@ -140,17 +140,6 @@ pub fn is_reachable(nl: &Netlist, from: GateId, target: GateId) -> bool {
     false
 }
 
-/// Gates sorted by logic level, returning `(id, level)` pairs in topological
-/// order. Convenience used by simulation and feature extraction.
-pub fn levelized(nl: &Netlist) -> Result<Vec<(GateId, usize)>> {
-    let order = topological_order(nl)?;
-    let levels = logic_levels(nl)?;
-    Ok(order
-        .into_iter()
-        .map(|id| (id, levels[id.index()]))
-        .collect())
-}
-
 /// Returns all gates whose kind is ordinary logic (not inputs/keys/constants).
 pub fn logic_gates(nl: &Netlist) -> Vec<GateId> {
     nl.ids()

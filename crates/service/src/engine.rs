@@ -479,8 +479,7 @@ impl JobEngine {
             .apply(netlist, &mut rng)
             .map_err(|e| JobError::fatal(format!("lock: {e}")))?;
         // Job-level parallelism lives above the attack (the engine's worker
-        // pool), so each attack runs serially — the thread-knob precedence
-        // rule from `MuxLinkConfig::threads`.
+        // pool), so each attack runs serially, even a lone job in a chunk.
         let attack = MuxLinkAttack::new(attack_config.clone().with_threads(1));
         let model = match &self.registry {
             Some(registry) => {

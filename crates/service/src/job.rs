@@ -176,12 +176,12 @@ impl JobSpec {
     ///
     /// Both kinds keep the AutoLock defaults (tournament selection, one-point
     /// crossover, composite mutation, D-MUX seeding) and run serially inside
-    /// the job: the engine's worker pool is the parallelism level. A classic
-    /// job keeps up to 2 elites and scores with the MLP-backend MuxLink
-    /// attack. An island job keeps 1 elite per island, so even two-member
-    /// islands keep breeding; with `surrogate` on, the DGCNN-backend attack
-    /// is the real fitness and the MLP-backend attack screens each
-    /// generation, both on one fitness cache.
+    /// the job, even as the lone job of a chunk: the engine's worker pool
+    /// fans the jobs out. A classic job keeps up to 2 elites and scores with
+    /// the MLP-backend MuxLink attack. An island job keeps 1 elite per
+    /// island, so even two-member islands keep breeding; with `surrogate`
+    /// on, the DGCNN-backend attack is the real fitness and the MLP-backend
+    /// attack screens each generation, both on one fitness cache.
     ///
     /// # Errors
     ///
