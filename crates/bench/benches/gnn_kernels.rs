@@ -14,7 +14,7 @@
 //! parallel-vs-serial numbers.
 
 use autolock_bench::results_dir;
-use autolock_bench::trajectory::{median_ns, BenchEntry, BenchTrajectory};
+use autolock_bench::trajectory::{paired_median_ns, versus_serial, BenchEntry, BenchTrajectory};
 use autolock_gnn::{Dgcnn, DgcnnConfig, GraphConv, GraphSource, SortPooling, SubgraphTensor};
 use autolock_mlcore::Matrix;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -208,106 +208,67 @@ fn emit_trajectory(_c: &mut Criterion) {
             &mut rng,
         )
     };
-    let train_ns = |threads: usize| {
+    // Each gated ratio times its two sides in alternating samples (see
+    // `paired_median_ns`).
+    let (graphs, labels) = (&graphs, &labels);
+    let train = |threads: usize| {
         let mut model = model_for(threads);
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        median_ns(samples, || {
-            black_box(model.train(black_box(&graphs), black_box(&labels), &mut rng));
-        })
+        move || {
+            black_box(model.train(black_box(graphs), black_box(labels), &mut rng));
+        }
     };
-    let score_ns = |threads: usize| {
+    let score = |threads: usize| {
         let model = model_for(threads);
-        median_ns(samples, || {
-            black_box(model.score_batch(black_box(&graphs)));
-        })
+        move || {
+            black_box(model.score_batch(black_box(graphs)));
+        }
     };
-    let serial_train = train_ns(1);
-    let serial_score = score_ns(1);
+    let source = &RebuildSource {
+        graphs: graphs.clone(),
+        labels: labels.clone(),
+    };
+    let streamed = || {
+        let mut model = model_for(1);
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        move || {
+            black_box(model.train_source(black_box(source), &mut rng));
+        }
+    };
+    let mut entry = |op: &str, threads: usize, baseline: &str, pair: (f64, f64)| {
+        entries.push(BenchEntry::new(op, &dims, threads, baseline, pair));
+    };
     for threads in [1usize, 2, 4] {
-        let t_train = if threads == 1 {
-            serial_train
-        } else {
-            train_ns(threads)
-        };
-        entries.push(BenchEntry {
-            op: "gnn_train_epoch".to_string(),
-            dims: dims.clone(),
-            threads,
-            ns_per_iter: t_train,
-            baseline: "threads=1".to_string(),
-            baseline_ns_per_iter: serial_train,
-            speedup_vs_baseline: serial_train / t_train,
-        });
-        let t_score = if threads == 1 {
-            serial_score
-        } else {
-            score_ns(threads)
-        };
-        entries.push(BenchEntry {
-            op: "gnn_score_batch".to_string(),
-            dims: dims.clone(),
-            threads,
-            ns_per_iter: t_score,
-            baseline: "threads=1".to_string(),
-            baseline_ns_per_iter: serial_score,
-            speedup_vs_baseline: serial_score / t_score,
-        });
+        let pair = versus_serial(samples, threads, train);
+        entry("gnn_train_epoch", threads, "threads=1", pair);
+        let pair = versus_serial(samples, threads, score);
+        entry("gnn_score_batch", threads, "threads=1", pair);
     }
 
     // Streamed (owned per-example rebuilds) vs materialized (borrowed
     // slices), serial: records that the memory-lean path stays at speed
     // parity with the path it replaced.
-    let streamed_ns = {
-        let source = RebuildSource {
-            graphs: graphs.clone(),
-            labels: labels.clone(),
-        };
-        let mut model = model_for(1);
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        median_ns(samples, || {
-            black_box(model.train_source(black_box(&source), &mut rng));
-        })
-    };
-    entries.push(BenchEntry {
-        op: "gnn_train_epoch_streamed".to_string(),
-        dims: dims.clone(),
-        threads: 1,
-        ns_per_iter: streamed_ns,
-        baseline: "materialized".to_string(),
-        baseline_ns_per_iter: serial_train,
-        speedup_vs_baseline: serial_train / streamed_ns,
-    });
+    entry(
+        "gnn_train_epoch_streamed",
+        1,
+        "materialized",
+        paired_median_ns(samples, train(1), streamed()),
+    );
 
     // Observability overhead: the identical streamed epoch with the obs
     // registry recording. `train_source` carries the densest
     // instrumentation in the workspace (gnn.train / gnn.train_epoch spans,
     // per-batch counters), so this ratio is the worst-case *enabled* cost;
-    // while disabled (the baseline above) every site is one relaxed load.
-    let obs_on_ns = {
-        let source = RebuildSource {
-            graphs: graphs.clone(),
-            labels: labels.clone(),
-        };
-        let mut model = model_for(1);
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        autolock_obs::reset();
+    // while disabled (the baseline) every site is one relaxed load.
+    let mut recorded = streamed();
+    autolock_obs::reset();
+    let obs = paired_median_ns(samples, streamed(), || {
         autolock_obs::enable();
-        let ns = median_ns(samples, || {
-            black_box(model.train_source(black_box(&source), &mut rng));
-        });
+        recorded();
         autolock_obs::disable();
-        autolock_obs::reset();
-        ns
-    };
-    entries.push(BenchEntry {
-        op: "gnn_train_epoch_obs_enabled".to_string(),
-        dims: dims.clone(),
-        threads: 1,
-        ns_per_iter: obs_on_ns,
-        baseline: "obs_disabled".to_string(),
-        baseline_ns_per_iter: streamed_ns,
-        speedup_vs_baseline: streamed_ns / obs_on_ns,
     });
+    autolock_obs::reset();
+    entry("gnn_train_epoch_obs_enabled", 1, "obs_disabled", obs);
 
     BenchTrajectory {
         bench: "gnn_kernels".to_string(),

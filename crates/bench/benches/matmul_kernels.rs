@@ -1,4 +1,4 @@
-//! Micro-benchmarks of the shared `mlcore` dense-kernel layer: the blocked
+//! Micro-benchmarks of the shared `mlcore` dense-kernel layer: the tiled
 //! `matmul`/`matmul_tn`/`matmul_nt` against their naive references, the
 //! workspace `tanh` row kernel against the libm's `f64::tanh`, one serial
 //! MLP-ensemble training at the AutoLock fitness shape, and the parallel
@@ -9,17 +9,20 @@
 //! `<results>/BENCH_kernels.json` — one entry per (op, dims, threads) with
 //! ns/iter and the speedup over its baseline (naive kernel, libm `tanh`, or
 //! the serial pool) — so future PRs can diff kernel performance instead of
-//! eyeballing bench logs. On a multi-core runner the blocked kernels should hold
-//! ≥ 1.5× naive on the ≥128×128 shapes and the 4-thread ensemble rows
-//! should beat serial; the JSON records whether they did. (The determinism
-//! suites prove blocked-vs-naive and parallel-vs-serial outputs are
-//! bit-identical, so every entry is a pure wall-clock comparison.)
+//! eyeballing bench logs. Besides the square shapes, two products run at
+//! the shapes the MuxLink models multiply (`matmul_tn` 16x32x66 and
+//! `matmul` 348x22x16, as `m x k x n`). On a multi-core runner the tiled
+//! kernels should hold ≥ 1.5× naive on the ≥128×128 shapes and the
+//! 4-thread ensemble rows should beat serial; the JSON records whether they
+//! did. (The determinism suites prove tiled-vs-naive and parallel-vs-serial
+//! outputs are bit-identical, so every entry is a pure wall-clock
+//! comparison.)
 //!
 //! Set `AUTOLOCK_BENCH_QUICK=1` for a CI smoke run (fewer samples, smaller
 //! shapes) that still exercises every kernel and writes the JSON.
 
 use autolock_bench::results_dir;
-use autolock_bench::trajectory::{median_ns, BenchEntry, BenchTrajectory};
+use autolock_bench::trajectory::{paired_median_ns, versus_serial, BenchEntry, BenchTrajectory};
 use autolock_mlcore::kernels::tanh_in_place;
 use autolock_mlcore::{Dataset, Matrix, MlpConfig, MlpEnsemble, MlpEnsembleConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -210,8 +213,8 @@ fn bench_mlp_step(c: &mut Criterion) {
 // Machine-readable trajectory (shared schema: autolock_bench::trajectory)
 // ---------------------------------------------------------------------------
 
-/// A boxed timing routine (blocked or naive variant of one op).
-type TimedOp<'a> = Box<dyn Fn() + 'a>;
+/// A product of two matrices (a tiled kernel or its naive reference).
+type Product = fn(&Matrix, &Matrix) -> Matrix;
 
 /// Measures every kernel and fan-out pair and writes the JSON trajectory.
 /// Runs as a Criterion target so `cargo bench --bench matmul_kernels`
@@ -222,120 +225,96 @@ fn emit_trajectory(_c: &mut Criterion) {
     let samples = if quick() { 5 } else { 9 };
     let mut entries = Vec::new();
 
+    // Every product at the square shapes, then two shapes the MuxLink
+    // models multiply, as `m x k x n`: the MLP weight gradient `Δᵀ·A` at
+    // batch depth 32 and a DGCNN conv `ÂX·W` over a 348-row union.
+    let mut products: Vec<(&str, usize, usize, usize)> = Vec::new();
     for &s in &shapes() {
-        let a = random_matrix(s, s, 1000 + s as u64);
-        let b = random_matrix(s, s, 2000 + s as u64);
-        let ops: Vec<(&str, TimedOp, TimedOp)> = vec![
-            (
-                "matmul",
-                Box::new(|| {
-                    black_box(black_box(&a).matmul(black_box(&b)));
-                }),
-                Box::new(|| {
-                    black_box(black_box(&a).matmul_naive(black_box(&b)));
-                }),
-            ),
-            (
-                "matmul_tn",
-                Box::new(|| {
-                    black_box(black_box(&a).matmul_tn(black_box(&b)));
-                }),
-                Box::new(|| {
-                    black_box(black_box(&a).matmul_tn_naive(black_box(&b)));
-                }),
-            ),
-            (
-                "matmul_nt",
-                Box::new(|| {
-                    black_box(black_box(&a).matmul_nt(black_box(&b)));
-                }),
-                Box::new(|| {
-                    black_box(black_box(&a).matmul_nt_naive(black_box(&b)));
-                }),
-            ),
-        ];
-        for (op, blocked, naive) in ops {
-            let blocked_ns = median_ns(samples, &*blocked);
-            let naive_ns = median_ns(samples, &*naive);
-            entries.push(BenchEntry {
-                op: op.to_string(),
-                dims: format!("{s}x{s}x{s}"),
-                threads: 1,
-                ns_per_iter: blocked_ns,
-                baseline: "naive".to_string(),
-                baseline_ns_per_iter: naive_ns,
-                speedup_vs_baseline: naive_ns / blocked_ns,
-            });
+        for op in ["matmul", "matmul_tn", "matmul_nt"] {
+            products.push((op, s, s, s));
         }
+    }
+    products.extend([("matmul_tn", 16, 32, 66), ("matmul", 348, 22, 16)]);
+    for (op, m, k, n) in products {
+        let (a_dims, b_dims, tiled, naive): (_, _, Product, Product) = match op {
+            "matmul" => ((m, k), (k, n), Matrix::matmul, Matrix::matmul_naive),
+            "matmul_tn" => ((k, m), (k, n), Matrix::matmul_tn, Matrix::matmul_tn_naive),
+            _ => ((m, k), (n, k), Matrix::matmul_nt, Matrix::matmul_nt_naive),
+        };
+        let a = random_matrix(a_dims.0, a_dims.1, 1000 + m as u64);
+        let b = random_matrix(b_dims.0, b_dims.1, 2000 + n as u64);
+        // Each gated ratio times its two sides in alternating samples (see
+        // `paired_median_ns`).
+        let pair = paired_median_ns(
+            samples,
+            || {
+                black_box(naive(black_box(&a), black_box(&b)));
+            },
+            || {
+                black_box(tiled(black_box(&a), black_box(&b)));
+            },
+        );
+        entries.push(BenchEntry::new(
+            op,
+            format!("{m}x{k}x{n}"),
+            1,
+            "naive",
+            pair,
+        ));
     }
 
     let block = tanh_block();
-    let mut buf = block.clone();
-    let kernel_ns = median_ns(samples, || tanh_kernel(&block, &mut buf));
-    let libm_ns = median_ns(samples, || tanh_libm(&block, &mut buf));
-    entries.push(BenchEntry {
-        op: "tanh".to_string(),
-        dims: format!("{}x{}", TANH_BLOCK.0, TANH_BLOCK.1),
-        threads: 1,
-        ns_per_iter: kernel_ns,
-        baseline: "f64::tanh".to_string(),
-        baseline_ns_per_iter: libm_ns,
-        speedup_vs_baseline: libm_ns / kernel_ns,
-    });
+    let (mut libm_buf, mut kernel_buf) = (block.clone(), block.clone());
+    let pair = paired_median_ns(
+        samples,
+        || tanh_libm(&block, &mut libm_buf),
+        || tanh_kernel(&block, &mut kernel_buf),
+    );
+    let dims = format!("{}x{}", TANH_BLOCK.0, TANH_BLOCK.1);
+    entries.push(BenchEntry::new("tanh", dims, 1, "f64::tanh", pair));
 
     let data = ensemble_dataset(if quick() { 64 } else { 256 }, 16);
     let rows: Vec<Vec<f64>> = (0..data.len())
         .map(|i| data.features_of(i).to_vec())
         .collect();
-    let train_ns = |threads: usize| {
-        median_ns(samples, || {
+    let train = |threads: usize| {
+        let data = &data;
+        move || {
             let mut rng = ChaCha8Rng::seed_from_u64(7);
             black_box(MlpEnsemble::train(
                 ensemble_config(threads),
-                black_box(&data),
+                black_box(data),
                 &mut rng,
             ));
-        })
+        }
     };
-    let serial_train = train_ns(1);
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let serial_ensemble = MlpEnsemble::train(ensemble_config(1), &data, &mut rng);
-    let serial_predict = median_ns(samples, || {
-        black_box(serial_ensemble.predict_batch(black_box(&rows)));
-    });
-    for threads in [1usize, 2, 4] {
-        let t_train = if threads == 1 {
-            serial_train
-        } else {
-            train_ns(threads)
-        };
-        entries.push(BenchEntry {
-            op: "ensemble_train".to_string(),
-            dims: format!("8members_x_{}examples", data.len()),
-            threads,
-            ns_per_iter: t_train,
-            baseline: "threads=1".to_string(),
-            baseline_ns_per_iter: serial_train,
-            speedup_vs_baseline: serial_train / t_train,
-        });
+    let predict = |threads: usize| {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let ensemble = MlpEnsemble::train(ensemble_config(threads), &data, &mut rng);
-        let t_predict = if threads == 1 {
-            serial_predict
-        } else {
-            median_ns(samples, || {
-                black_box(ensemble.predict_batch(black_box(&rows)));
-            })
-        };
-        entries.push(BenchEntry {
-            op: "ensemble_predict_batch".to_string(),
-            dims: format!("8members_x_{}rows", rows.len()),
+        let rows = &rows;
+        move || {
+            black_box(ensemble.predict_batch(black_box(rows)));
+        }
+    };
+    let train_dims = format!("8members_x_{}examples", data.len());
+    let predict_dims = format!("8members_x_{}rows", rows.len());
+    for threads in [1usize, 2, 4] {
+        let pair = versus_serial(samples, threads, train);
+        entries.push(BenchEntry::new(
+            "ensemble_train",
+            &train_dims,
             threads,
-            ns_per_iter: t_predict,
-            baseline: "threads=1".to_string(),
-            baseline_ns_per_iter: serial_predict,
-            speedup_vs_baseline: serial_predict / t_predict,
-        });
+            "threads=1",
+            pair,
+        ));
+        let pair = versus_serial(samples, threads, predict);
+        entries.push(BenchEntry::new(
+            "ensemble_predict_batch",
+            &predict_dims,
+            threads,
+            "threads=1",
+            pair,
+        ));
     }
 
     BenchTrajectory {

@@ -32,6 +32,28 @@ pub struct BenchEntry {
     pub speedup_vs_baseline: f64,
 }
 
+impl BenchEntry {
+    /// The entry for `op` at `dims` and `threads`, from the `(baseline,
+    /// measured)` ns/iter pair a timing helper returns.
+    pub fn new(
+        op: &str,
+        dims: impl Into<String>,
+        threads: usize,
+        baseline: &str,
+        (baseline_ns, ns): (f64, f64),
+    ) -> Self {
+        BenchEntry {
+            op: op.to_string(),
+            dims: dims.into(),
+            threads,
+            ns_per_iter: ns,
+            baseline: baseline.to_string(),
+            baseline_ns_per_iter: baseline_ns,
+            speedup_vs_baseline: baseline_ns / ns,
+        }
+    }
+}
+
 /// A `BENCH_*.json` file: which bench produced it, whether in quick (CI
 /// smoke) mode, and its entries.
 #[derive(Serialize)]
@@ -73,18 +95,73 @@ impl BenchTrajectory {
     }
 }
 
-/// Median ns/iter of `f` over `samples` timed runs (one discarded warm-up).
-pub fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
+/// Shortest span one timed sample covers, in ns. A sample of one
+/// millisecond-long call moves by a third when one pool thread is
+/// descheduled; a 10 ms sample spreads that over many calls.
+const SAMPLE_NS: f64 = 10e6;
+
+/// A routine and the number of runs one sample of it takes: as many as one
+/// discarded warm-up run says it takes to span [`SAMPLE_NS`], at least one.
+struct Timed<F> {
+    f: F,
+    iters: u32,
+}
+
+impl<F: FnMut()> Timed<F> {
+    fn new(mut f: F) -> Self {
+        let start = Instant::now();
+        f();
+        let warm_up = start.elapsed().as_nanos() as f64;
+        let iters = (SAMPLE_NS / warm_up.max(1.0)).ceil().max(1.0) as u32;
+        Timed { f, iters }
+    }
+
+    /// Mean ns per run over one sample.
+    fn sample(&mut self) -> f64 {
+        let start = Instant::now();
+        for _ in 0..self.iters {
+            (self.f)();
+        }
+        start.elapsed().as_nanos() as f64 / f64::from(self.iters)
+    }
+}
+
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
     times[times.len() / 2]
+}
+
+/// Median ns/iter of `f` over `samples` timed samples.
+pub fn median_ns(samples: usize, f: impl FnMut()) -> f64 {
+    let mut f = Timed::new(f);
+    median((0..samples).map(|_| f.sample()).collect())
+}
+
+/// Median ns/iter of `base` and of `f` over `samples` samples each, taken
+/// in alternation. A gated entry is the ratio of the two; timed side by
+/// side, both see the same machine load, where two blocks timed one after
+/// the other can straddle a change in it.
+pub fn paired_median_ns(samples: usize, base: impl FnMut(), f: impl FnMut()) -> (f64, f64) {
+    let (mut base, mut f) = (Timed::new(base), Timed::new(f));
+    let (base_times, times): (Vec<f64>, Vec<f64>) =
+        (0..samples).map(|_| (base.sample(), f.sample())).unzip();
+    (median(base_times), median(times))
+}
+
+/// `(serial, parallel)` ns/iter of the routines `make` builds for one
+/// thread and for `threads`, timed in alternation by [`paired_median_ns`].
+/// At `threads = 1` the serial routine, timed alone, is both.
+pub fn versus_serial<F: FnMut()>(
+    samples: usize,
+    threads: usize,
+    make: impl Fn(usize) -> F,
+) -> (f64, f64) {
+    if threads == 1 {
+        let ns = median_ns(samples, make(1));
+        (ns, ns)
+    } else {
+        paired_median_ns(samples, make(1), make(threads))
+    }
 }
 
 #[cfg(test)]
@@ -97,6 +174,14 @@ mod tests {
             std::hint::black_box((0..100).sum::<u64>());
         });
         assert!(ns > 0.0);
+        let (short, long) = paired_median_ns(
+            3,
+            || {
+                std::hint::black_box((0..100).sum::<u64>());
+            },
+            || std::thread::sleep(std::time::Duration::from_millis(2)),
+        );
+        assert!(0.0 < short && short < long, "{short} vs {long}");
     }
 
     #[test]

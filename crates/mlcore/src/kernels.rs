@@ -1,37 +1,42 @@
-//! Cache-blocked, register-tiled dense matmul kernels, plus the workspace's
-//! own lane-exact [`tanh`] and its row kernel [`tanh_in_place`].
+//! Register-tiled dense matmul kernels, plus the workspace's own
+//! lane-exact [`tanh`] and its row kernel [`tanh_in_place`].
 //!
 //! Every learned model in this workspace (the bagged-MLP MuxLink backend,
 //! the DGCNN conv/dense layers) funnels through the
 //! three `Matrix::matmul*` products, so this module is the shared hot core.
-//! It implements the classic GEBP decomposition: the B operand is packed
-//! into contiguous panels, the output is swept in m/n tiles, and an
-//! unrolled `NR`-wide column block accumulates in registers so the compiler
-//! auto-vectorizes the inner loop. No explicit SIMD intrinsics are used —
-//! the fixed-size `[f64; NR]` accumulator arrays are enough for LLVM to emit
-//! packed adds/muls on any target.
+//! The products it sees are small (an MLP weight gradient is `16 × 66` at
+//! depth 32, a DGCNN conv at most `512 × 22 × 16`), so `matmul_nn` and
+//! `matmul_tn` read both operands in place: one body sweeps each `NR`-wide
+//! strip of the output in `MR`-row blocks, and each block walks the rows of
+//! B in increasing k with an `MR × NR` accumulator block in registers. The
+//! two products differ only in how the body reads A's `MR` lanes of a k
+//! step: one per row for `nn`, `MR` contiguous entries of one row for `tn`
+//! (the transpose never materializes). No explicit SIMD intrinsics are
+//! used — the fixed-size `[f64; NR]` accumulator arrays are enough for LLVM
+//! to emit packed adds/muls on any target.
 //!
-//! `matmul_nt` packs `NR` rows of B the same way and feeds each strip to an
-//! `MR × NR` accumulator block, `MR` rows of A at a time; the `m % MR` rows
-//! and the last `w < NR` strip run a single-row loop.
+//! `matmul_nt` must read B's rows as columns, so it packs `NR` rows of B
+//! into an interleaved strip and feeds it to an `MR × NR` accumulator
+//! block, `MR` rows of A at a time; the `m % MR` rows and the last `w < NR`
+//! strip run a single-row loop.
 //!
 //! # Shape routes
 //!
-//! A product with one row, one column or depth one has nothing to block, and
-//! packing a panel for it costs more than its arithmetic. Each entry point
-//! hands those shapes to a vector kernel that runs every output's chain term
-//! for term (`a·b == b·a` bitwise, so operand order does not matter):
+//! A product with one column or depth one has nothing to tile, and so does
+//! `nt` with one row. Each entry point hands those shapes to a vector kernel
+//! that runs every output's chain term for term (`a·b == b·a` bitwise, so
+//! operand order does not matter):
 //!
 //! | shape | `matmul_nn` | `matmul_tn` | `matmul_nt` |
 //! |-------|-------------|-------------|-------------|
-//! | `m = 1` | `matvec_t` over B | `matvec_t` over B | `matvec` over B |
+//! | `m = 1` | the body | the body | `matvec` over B |
 //! | `n = 1` | `matvec` over A, from `out` | `matvec_t` over A | `matvec` over A |
-//! | `k = 1` | one `out += a·b` pass | blocked | blocked |
+//! | `k = 1` | one `out += a·b` pass | the body | blocked |
 //!
 //! `nn` and `tn` keep their `out +=` contract (each chain continues from
 //! `out`); `nt` zeroes `out` first, which starts each chain from `+0.0`.
 //! The MLP's one-output layer, the DGCNN's one-channel conv and its dense
-//! head's last layer and one-example batches take these routes.
+//! head's last layer take these routes.
 //!
 //! Each kernel has one portable body. On x86-64 the public entry points also
 //! carry an AVX2 build of that body and choose it at run time when the CPU
@@ -40,36 +45,37 @@
 //!
 //! # Bit-for-bit contract
 //!
-//! Blocked results are **bit-for-bit identical** to the naive reference
+//! Tiled results are **bit-for-bit identical** to the naive reference
 //! loops (`*_naive` below), enforced by the proptests in
 //! `tests/kernel_equivalence.rs`. The invariant that makes this possible:
 //! for every output element, partial products are accumulated **in strictly
-//! increasing k order, into a single accumulator, starting from `0.0`** —
-//! exactly the order the naive triple loop uses. Blocking is therefore only
-//! allowed along dimensions that do not reorder a single element's
-//! accumulation chain:
+//! increasing k order, into a single accumulator, starting from its entry
+//! value in `out`** (`0.0` for a plain product) — exactly the order the
+//! naive triple loop uses. Tiling is therefore only allowed along dimensions
+//! that do not reorder a single element's accumulation chain:
 //!
 //! * m/n tiling picks *which* output elements a pass computes — always safe;
-//! * k panels are processed in increasing order and the micro-kernel resumes
-//!   from the partial value already stored in the output, so the chain
+//! * each accumulator loads its entry from `out`, takes one term per k step
+//!   in increasing k, and is stored once, so the chain
 //!   `((0 + a₀b₀) + a₁b₁) + …` is preserved term for term;
-//! * packing only copies operands; it performs no arithmetic;
+//! * a lane the body computes but does not own (the overlap of a narrow
+//!   last strip, see `accumulate_tile`) is never stored;
 //! * Rust never contracts `mul` + `add` into an FMA without an explicit
 //!   `mul_add`, so the rounding of every term is unchanged.
 //!
 //! The old naive loops carried an `if a == 0.0 { continue; }` zero-skip; it
 //! cost a branch per inner-loop element in the (overwhelmingly common) dense
-//! case and is dropped here. Panel-level sparsity skipping was measured and
-//! rejected: the operands these kernels see (He-initialised weights,
-//! standardized features, conv aggregates) are dense, and a skipped
-//! `acc += 0.0 * b` is not even a bitwise no-op in IEEE 754 (`-0.0 + 0.0`
-//! flips sign; `0.0 * inf` is NaN), so skipping would break the contract.
+//! case and is dropped here. Sparsity skipping was measured and rejected:
+//! the operands these kernels see (He-initialised weights, standardized
+//! features, conv aggregates) are dense, and a skipped `acc += 0.0 * b` is
+//! not even a bitwise no-op in IEEE 754 (`-0.0 + 0.0` flips sign;
+//! `0.0 * inf` is NaN), so skipping would break the contract.
 //!
 //! # Tuning
 //!
-//! Block sizes live in the constants below; see `crates/mlcore/README.md`
-//! for how they map onto the cache hierarchy and how to retune them. They
-//! only affect wall clock, never results.
+//! The register tile `MR × NR` is the only size in these kernels; see
+//! `crates/mlcore/README.md` for how it maps onto the register file. It
+//! only affects wall clock, never results.
 
 mod tanh;
 
@@ -81,23 +87,11 @@ pub use tanh::{tanh, tanh_in_place};
 /// completely.
 pub const NR: usize = 8;
 
-/// Depth (shared-k extent) of one packed B panel: `KC × NR` panel columns
-/// must stay L1-resident while a row of A streams against them.
-pub const KC: usize = 128;
-
-/// Width (output columns) of one packed B panel: a `KC × NC` panel is
-/// `128 KiB` and sits in L2 while every row of A is swept over it.
-pub const NC: usize = 128;
-
-/// Rows of A swept per tile before moving to the next panel; bounds the
-/// working set of partially-accumulated output rows.
-pub const MC: usize = 64;
-
 /// Rows of A each register micro-kernel accumulates simultaneously. An
-/// `MR × NR` accumulator block amortizes every packed-panel load over `MR`
+/// `MR × NR` accumulator block amortizes every load of a B row over `MR`
 /// rows. The `4 × 8` accumulator doubles fill 8 `ymm` registers on AVX2,
-/// leaving 8 for the broadcast A value and the B panel row; on SSE2 they
-/// take all 16 `xmm` registers, which is why the AVX2 build is faster.
+/// leaving 8 for the broadcast A value and the B row; on SSE2 they take all
+/// 16 `xmm` registers, which is why the AVX2 build is faster.
 pub const MR: usize = 4;
 
 #[inline]
@@ -108,7 +102,7 @@ fn check_dims(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &[f64]) {
 }
 
 avx2_dispatch! {
-    /// Blocked `out += A · B` for row-major `A (m×k)`, `B (k×n)`, `out (m×n)`.
+    /// Tiled `out += A · B` for row-major `A (m×k)`, `B (k×n)`, `out (m×n)`.
     ///
     /// `out` must be zeroed (or hold a partial sum over a k-prefix) on entry;
     /// [`crate::Matrix::matmul`] always passes a fresh zero matrix.
@@ -119,10 +113,7 @@ avx2_dispatch! {
 #[inline(always)]
 fn matmul_nn_portable(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     check_dims(m, k, n, a, b, out);
-    if m == 1 {
-        // `out += a·B` adds row `kk` of B scaled by `a[kk]`, k in order.
-        matvec_t_portable(n, b, a, out);
-    } else if n == 1 {
+    if n == 1 {
         // Each output is a row of A dotted with B's one column.
         matvec_portable(k, a, b, out);
     } else if k == 1 {
@@ -133,177 +124,133 @@ fn matmul_nn_portable(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &
             }
         }
     } else {
-        gebp(
-            m,
-            k,
-            n,
-            #[inline(always)]
-            |r, kk| a[r * k + kk],
-            b,
-            out,
-        );
+        matmul_acc(m, n, Rows { a, k }, b, out);
     }
 }
 
-/// The shared GEBP driver behind [`matmul_nn`] and [`matmul_tn`]:
-/// `out += A' · B` where `a_at(r, kk)` reads the logical (possibly
-/// transposed) left operand `A'[r][kk]`. The accessor is only used while
-/// packing the `MR`-row A block (a pure copy), so a strided accessor costs
-/// one gather per packed element, never per multiply.
-#[inline(always)]
-fn gebp(
-    m: usize,
+/// How the one body reads the left operand `A'` (`m × k`) in place: `R`
+/// consecutive rows at a time, one `[f64; R]` column of lanes per k step.
+trait LeftOperand: Copy {
+    /// `[A'[r][kk], …, A'[r+R-1][kk]]` for `kk = 0, 1, …, k - 1`.
+    fn lanes<const R: usize>(self, r: usize) -> impl Iterator<Item = [f64; R]>;
+}
+
+/// `A'` is a row-major `m × k` slice (`matmul_nn`): lane `i` walks row
+/// `r + i`.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    a: &'a [f64],
     k: usize,
+}
+
+impl LeftOperand for Rows<'_> {
+    #[inline(always)]
+    fn lanes<const R: usize>(self, r: usize) -> impl Iterator<Item = [f64; R]> {
+        let rows: [&[f64]; R] = std::array::from_fn(|i| &self.a[(r + i) * self.k..][..self.k]);
+        (0..self.k).map(move |kk| rows.map(|row| row[kk]))
+    }
+}
+
+/// `A'` is the transpose of a row-major `k × m` slice (`matmul_tn`): the
+/// lanes of step `kk` are `R` contiguous entries of row `kk`.
+#[derive(Clone, Copy)]
+struct Cols<'a> {
+    a: &'a [f64],
+    m: usize,
+}
+
+impl LeftOperand for Cols<'_> {
+    #[inline(always)]
+    fn lanes<const R: usize>(self, r: usize) -> impl Iterator<Item = [f64; R]> {
+        self.a
+            .chunks_exact(self.m)
+            .map(move |row| *row[r..].first_chunk().expect("R lanes"))
+    }
+}
+
+/// The one body behind [`matmul_nn`] and [`matmul_tn`]: `out += A' · B`
+/// for the `m × k` left operand `A'`, read in place through `a`, and
+/// row-major `B (k×n)`, `out (m×n)`. Neither operand is copied: each
+/// `NR`-wide strip of `out` is swept in `MR`-row blocks (then one row at a
+/// time for the `m % MR` rows), and each block walks the rows of B in
+/// increasing k.
+#[inline(always)]
+fn matmul_acc(m: usize, n: usize, a: impl LeftOperand, b: &[f64], out: &mut [f64]) {
+    for j0 in (0..n).step_by(NR) {
+        let mut r = 0;
+        while r + MR <= m {
+            accumulate_tile::<MR>(a.lanes(r), r, j0, n, b, out);
+            r += MR;
+        }
+        for r in r..m {
+            accumulate_tile::<1>(a.lanes(r), r, j0, n, b, out);
+        }
+    }
+}
+
+/// The `R × NR` register micro-kernel: `out[r+i][j0+t] += Σ_kk
+/// A'[r+i][kk] · B[kk][j0+t]`, with `lanes` yielding `A'`'s column block
+/// one k step at a time. The accumulators load from `out`, take one term
+/// per row of B in increasing k, and store back, so every output keeps its
+/// chain term for term.
+///
+/// A last strip narrower than `NR` runs as the window of the last `NR`
+/// columns: its lanes left of `j0` belong to the strip before, already
+/// final, so they are computed and dropped, never stored. Only a product
+/// narrower than `NR` runs the lanes one by one.
+#[inline(always)]
+fn accumulate_tile<const R: usize>(
+    lanes: impl Iterator<Item = [f64; R]>,
+    r: usize,
+    j0: usize,
     n: usize,
-    a_at: impl Fn(usize, usize) -> f64,
     b: &[f64],
     out: &mut [f64],
 ) {
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    let mut panel = vec![0.0f64; KC.min(k) * NC.min(n)];
-    let mut apack = vec![0.0f64; KC.min(k) * MR];
-    for j0 in (0..n).step_by(NC) {
-        let jn = NC.min(n - j0);
-        // k panels in increasing order: the micro-kernel resumes from the
-        // partial sums already in `out`, so each element's accumulation
-        // chain stays in global k order.
-        for k0 in (0..k).step_by(KC) {
-            let kn = KC.min(k - k0);
-            // Pack the B panel as NR-wide column strips, each strip a
-            // contiguous kn×w block (`panel[js·kn + kk·w + t] =
-            // B[k0+kk][j0+js+t]`): the micro-kernel then streams the panel
-            // strictly sequentially instead of striding by `jn`.
-            let mut js = 0;
-            while js < jn {
-                let w = NR.min(jn - js);
-                let strip = &mut panel[js * kn..(js + w) * kn];
-                for kk in 0..kn {
-                    let src = (k0 + kk) * n + j0 + js;
-                    strip[kk * w..kk * w + w].copy_from_slice(&b[src..src + w]);
-                }
-                js += w;
-            }
-            let panel = &panel[..kn * jn];
-            for r0 in (0..m).step_by(MC) {
-                let r1 = (r0 + MC).min(m);
-                let mut r = r0;
-                while r + MR <= r1 {
-                    // Pack the MR-row A block interleaved
-                    // (`apack[kk·MR + i] = A'[r+i][k0+kk]`) so the micro-
-                    // kernel reads one contiguous MR-vector per k step.
-                    for kk in 0..kn {
-                        for i in 0..MR {
-                            apack[kk * MR + i] = a_at(r + i, k0 + kk);
-                        }
-                    }
-                    accumulate_row_block(&apack[..kn * MR], panel, kn, jn, r, n, j0, out);
-                    r += MR;
-                }
-                while r < r1 {
-                    for (kk, slot) in apack[..kn].iter_mut().enumerate() {
-                        *slot = a_at(r, k0 + kk);
-                    }
-                    let out_row = &mut out[r * n + j0..r * n + j0 + jn];
-                    accumulate_row(&apack[..kn], panel, kn, jn, out_row);
-                    r += 1;
-                }
-            }
-        }
-    }
-}
-
-/// The `MR × NR` register micro-kernel: accumulates
-/// `out[r+i][j0+js] += Σ_kk apack[kk, i] · strip[kk, t]` for an `MR`-row
-/// block, one NR-wide B strip at a time, streaming both packed operands
-/// sequentially. Every output element still owns a single accumulator fed
-/// in increasing k order, so blocking rows changes nothing bitwise — it
-/// only amortizes each strip load over `MR` rows.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // a micro-kernel's geometry really is 8 scalars
-fn accumulate_row_block(
-    apack: &[f64],
-    panel: &[f64],
-    kn: usize,
-    jn: usize,
-    r: usize,
-    n: usize,
-    j0: usize,
-    out: &mut [f64],
-) {
-    let mut js = 0;
-    while js < jn {
-        let w = NR.min(jn - js);
-        let strip = &panel[js * kn..(js + w) * kn];
-        let mut acc = [[0.0f64; NR]; MR];
-        for (i, acc_row) in acc.iter_mut().enumerate() {
-            acc_row[..w].copy_from_slice(&out[(r + i) * n + j0 + js..][..w]);
-        }
-        if w == NR {
-            for (p, a_col) in strip.chunks_exact(NR).zip(apack.chunks_exact(MR)) {
-                for (i, acc_row) in acc.iter_mut().enumerate() {
-                    let av = a_col[i];
-                    for t in 0..NR {
-                        acc_row[t] += av * p[t];
-                    }
-                }
-            }
-        } else {
-            for (p, a_col) in strip.chunks_exact(w).zip(apack.chunks_exact(MR)) {
-                for (i, acc_row) in acc.iter_mut().enumerate() {
-                    let av = a_col[i];
-                    for (t, &pv) in p.iter().enumerate() {
-                        acc_row[t] += av * pv;
-                    }
+    let w = NR.min(n - j0);
+    let steps = b.chunks_exact(n).zip(lanes);
+    if n >= NR {
+        let j = j0 + w - NR;
+        let mut acc: [[f64; NR]; R] =
+            std::array::from_fn(|i| *out[(r + i) * n + j..].first_chunk().expect("NR columns"));
+        for (b_row, av) in steps {
+            let p: &[f64; NR] = b_row[j..].first_chunk().expect("NR columns");
+            for (acc_row, av) in acc.iter_mut().zip(av) {
+                for t in 0..NR {
+                    acc_row[t] += av * p[t];
                 }
             }
         }
         for (i, acc_row) in acc.iter().enumerate() {
-            out[(r + i) * n + j0 + js..][..w].copy_from_slice(&acc_row[..w]);
+            out[(r + i) * n + j0..][..w].copy_from_slice(&acc_row[NR - w..]);
         }
-        js += w;
-    }
-}
-
-/// Single-row variant of the micro-kernel for the `m % MR` remainder rows:
-/// `out_row[js+t] += Σ_kk a_row[kk] · strip[kk, t]`, k in order.
-#[inline(always)]
-fn accumulate_row(a_row: &[f64], panel: &[f64], kn: usize, jn: usize, out_row: &mut [f64]) {
-    let mut js = 0;
-    while js < jn {
-        let w = NR.min(jn - js);
-        let strip = &panel[js * kn..(js + w) * kn];
-        let mut acc = [0.0f64; NR];
-        acc[..w].copy_from_slice(&out_row[js..js + w]);
-        if w == NR {
-            for (p, &av) in strip.chunks_exact(NR).zip(a_row) {
-                for t in 0..NR {
-                    acc[t] += av * p[t];
-                }
-            }
-        } else {
-            for (p, &av) in strip.chunks_exact(w).zip(a_row) {
-                for (t, &pv) in p.iter().enumerate() {
-                    acc[t] += av * pv;
+    } else {
+        let mut acc = [[0.0f64; NR]; R];
+        for (i, acc_row) in acc.iter_mut().enumerate() {
+            acc_row[..n].copy_from_slice(&out[(r + i) * n..][..n]);
+        }
+        for (b_row, av) in steps {
+            for (acc_row, av) in acc.iter_mut().zip(av) {
+                for (slot, &pv) in acc_row.iter_mut().zip(b_row) {
+                    *slot += av * pv;
                 }
             }
         }
-        out_row[js..js + w].copy_from_slice(&acc[..w]);
-        js += w;
+        for (i, acc_row) in acc.iter().enumerate() {
+            out[(r + i) * n..][..n].copy_from_slice(&acc_row[..n]);
+        }
     }
 }
 
 avx2_dispatch! {
-    /// Blocked `out += Aᵀ · B` for row-major `A (k×m)`, `B (k×n)`, `out (m×n)`.
+    /// Tiled `out += Aᵀ · B` for row-major `A (k×m)`, `B (k×n)`, `out (m×n)`.
     /// Like [`matmul_nn`], `out` must be zeroed on entry for a plain product
     /// ([`crate::Matrix::matmul_tn`] always passes fresh zeros).
     ///
-    /// Reuses the `gebp` driver with a strided accessor: the transpose never
-    /// materializes — the A-block packing step gathers the needed column
-    /// entries directly. Per-element accumulation runs in shared-k order
-    /// either way, so the result is bit-identical to the naive
-    /// implicit-transpose loop.
+    /// Runs the body of [`matmul_nn`], reading the `MR` lanes of each k
+    /// step as contiguous entries of A's row `kk`: the transpose never
+    /// materializes. Per-element accumulation runs in shared-k order, so the
+    /// result is bit-identical to the naive implicit-transpose loop.
     pub fn matmul_tn(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64])
         => matmul_tn_portable
 }
@@ -313,22 +260,11 @@ fn matmul_tn_portable(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &
     debug_assert_eq!(a.len(), k * m, "A must be k*m");
     debug_assert_eq!(b.len(), k * n, "B must be k*n");
     debug_assert_eq!(out.len(), m * n, "out must be m*n");
-    if m == 1 {
-        // A is one column: row `kk` of B scaled by `A[kk][0]`, k in order.
-        matvec_t_portable(n, b, a, out);
-    } else if n == 1 {
+    if n == 1 {
         // B is one column: row `kk` of A scaled by `B[kk][0]`, k in order.
         matvec_t_portable(m, a, b, out);
     } else {
-        gebp(
-            m,
-            k,
-            n,
-            #[inline(always)]
-            |r, kk| a[kk * m + r],
-            b,
-            out,
-        );
+        matmul_acc(m, n, Cols { a, m }, b, out);
     }
 }
 
@@ -548,7 +484,8 @@ pub(crate) mod tests {
 
     #[test]
     fn nn_matches_naive_across_all_block_boundaries() {
-        // Straddles NR, MC, KC and NC in every dimension.
+        // Straddles the MR/NR tiles, with a narrow last strip, and depth and
+        // width past 128.
         for (m, k, n) in [(1, 1, 1), (7, 5, 9), (65, 129, 131), (3, 300, 17)] {
             let a = seq(m * k, 0.0);
             let b = seq(k * n, 1.0);
@@ -596,8 +533,8 @@ pub(crate) mod tests {
     }
 
     /// Shapes `(m, k, n)` covering zero-sized dimensions, the `MR`/`NR`
-    /// remainder rows and columns, depth past one `KC` panel, width past
-    /// one `NC` panel, and the one-row, one-column and depth-one routes.
+    /// remainder rows and columns, a product narrower than `NR`, depth and
+    /// width past 128, and the one-row, one-column and depth-one shapes.
     const EDGE_SHAPES: [(usize, usize, usize); 12] = [
         (0, 5, 7),
         (6, 0, 7),
@@ -605,9 +542,9 @@ pub(crate) mod tests {
         (1, 1, 1),
         (MR - 1, 3, NR - 1),
         (2 * MR + 3, 17, 2 * NR + 5),
-        (MR + 1, KC + 13, NR + 3),
-        (MC + 7, KC + 13, NC + NR + 3),
-        (9, 2 * KC + 1, 2),
+        (MR + 1, 128 + 13, NR + 3),
+        (64 + 7, 128 + 13, 128 + NR + 3),
+        (9, 2 * 128 + 1, 2),
         (1, 9, 2 * NR + 3),
         (2 * MR + 3, 9, 1),
         (2 * MR + 3, 1, 2 * NR + 3),

@@ -126,7 +126,7 @@ impl Matrix {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Matrix product `self * other`, computed by the cache-blocked kernels
+    /// Matrix product `self * other`, computed by the register-tiled kernels
     /// in [`crate::kernels`]. Bit-for-bit identical to [`Matrix::matmul_naive`].
     ///
     /// # Panics
@@ -147,7 +147,7 @@ impl Matrix {
     }
 
     /// Transposed product `selfᵀ * other` (without the caller materializing
-    /// the transpose), via the blocked kernels. Bit-for-bit identical to
+    /// the transpose), via the tiled kernels. Bit-for-bit identical to
     /// [`Matrix::matmul_tn_naive`].
     ///
     /// # Panics
@@ -167,7 +167,7 @@ impl Matrix {
         out
     }
 
-    /// Product with the transpose `self * otherᵀ`, via the blocked kernels.
+    /// Product with the transpose `self * otherᵀ`, via the tiled kernels.
     /// Bit-for-bit identical to [`Matrix::matmul_nt_naive`].
     ///
     /// # Panics
@@ -188,7 +188,7 @@ impl Matrix {
     }
 
     /// Reference (naive triple-loop) `self * other`. Exists so tests and the
-    /// `matmul_kernels` bench can pin the blocked kernels against the
+    /// `matmul_kernels` bench can pin the tiled kernels against the
     /// original scalar loops; production code should call [`Matrix::matmul`].
     pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");

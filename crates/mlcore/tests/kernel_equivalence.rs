@@ -2,8 +2,9 @@
 //! (cache-blocked, register-tiled) are **bit-for-bit** equal to the naive
 //! reference loops for every shape — compared with `f64::to_bits`, so even a
 //! signed-zero difference would fail. Shapes range over degenerate 0/1-dim
-//! cases up to sizes that straddle the `NR`/`MC` register and row tiles; a
-//! dedicated case crosses the `KC`/`NC` panel boundaries.
+//! cases up to sizes that straddle the `MR`/`NR` register tiles; a
+//! dedicated case runs depth and width past 128, and another the shapes the
+//! MuxLink models multiply.
 
 use autolock_mlcore::{kernels, Matrix};
 use proptest::prelude::*;
@@ -70,17 +71,13 @@ proptest! {
     }
 }
 
-/// Shapes that cross every blocking boundary at once (`KC`/`NC` panels,
-/// `MC` row tiles, `NR` register tiles, plus odd remainders): the
-/// proptest shapes above stay small for speed, so this pins the panel
-/// loops explicitly.
+/// Shapes past 128 in every dimension, with `MR`/`NR` remainders (the
+/// 128-deep, 128-wide and 64-row panels of an earlier, packing kernel): the
+/// proptest shapes above stay small for speed, so this pins long chains
+/// and wide rows explicitly.
 #[test]
 fn blocked_kernels_match_naive_across_panel_boundaries() {
-    let (m, k, n) = (
-        kernels::MC + 7,
-        kernels::KC + 13,
-        kernels::NC + kernels::NR + 3,
-    );
+    let (m, k, n) = (64 + 7, 128 + 13, 128 + kernels::NR + 3);
     let a = random_matrix(m, k, 1);
     let b = random_matrix(k, n, 2);
     assert_bits_eq(&a.matmul(&b), &a.matmul_naive(&b));
@@ -228,12 +225,11 @@ proptest! {
     }
 }
 
-/// A batch deeper than one `KC` panel: the weight gradient's example chain
-/// then spans two k panels of the blocked kernel and must still run in
-/// example order.
+/// A batch deeper than 128: the weight gradient's example chain must run
+/// in example order however long it is.
 #[test]
 fn batched_mlp_products_match_per_example_chains_across_panels() {
-    let batch = kernels::KC + 9;
+    let batch = 128 + 9;
     let a = edge_case_matrix(batch, 2 * kernels::NR + 3, 11);
     let w = edge_case_matrix(13, 2 * kernels::NR + 3, 12);
     let delta = edge_case_matrix(batch, 13, 13);
@@ -241,8 +237,9 @@ fn batched_mlp_products_match_per_example_chains_across_panels() {
 }
 
 /// The one-row (`m = 1`), one-column (`n = 1`) and depth-one (`k = 1`)
-/// products, which the entry points hand to the vector kernels, against the
-/// naive loops, on operands with signed zeros and subnormals. `nn` and `tn`
+/// products, most of which the entry points hand to the vector kernels
+/// (one-row `nn` and `tn` run the tiled body one row at a time), against
+/// the naive loops, on operands with signed zeros and subnormals. `nn` and `tn`
 /// add to an output that already holds a partial sum (signed zeros
 /// included), so each chain must continue from it; `nt` overwrites an output
 /// filled with stale values. The last shape is a row-blocked `nt` with two
@@ -261,9 +258,9 @@ fn degenerate_shape_routes_match_naive_at_ieee_edges() {
         (1, 0, 5),
         (5, 0, 1),
         (1, 7, 2 * NR + 3),
-        (1, kernels::KC + 5, 3),
+        (1, 128 + 5, 3),
         (2 * MR + 3, 7, 1),
-        (MR, kernels::KC + 5, 1),
+        (MR, 128 + 5, 1),
         (2 * MR + 3, 1, 2 * NR + 3),
         (2 * MR + 1, 7, NR + 3),
     ];
@@ -291,6 +288,54 @@ fn degenerate_shape_routes_match_naive_at_ieee_edges() {
                     "{name} {m}x{k}x{n}, element {i}: {g} vs {w}"
                 );
             }
+        }
+    }
+}
+
+/// The shapes the MuxLink models multiply, tiled against the naive loops
+/// on operands with signed zeros and subnormals, into an output that
+/// already holds a partial sum (signed zeros and subnormals included), so
+/// each chain must continue from it:
+///
+/// * the MLP weight gradient `Δᵀ·A`, `16 × 66` at batch depth 32 and at the
+///   ragged last batch's depth 24 (`66` ends in a strip narrower than `NR`);
+/// * the DGCNN conv `ÂX·W` of a 348-row and of a full 512-row union;
+/// * the dense head's `16 × 32 · 32 × 330` and its gradient `Uᵀ·Δ` at
+///   depth 16, `32 × 330`;
+/// * a per-example conv gradient at depth 30, `22 × 16`.
+#[test]
+fn workload_shapes_match_naive_from_a_partial_sum() {
+    // (product, rows of `out`, depth, columns of `out`)
+    let shapes = [
+        ("tn", 16, 32, 66),
+        ("tn", 16, 24, 66),
+        ("nn", 348, 22, 16),
+        ("nn", 512, 16, 16),
+        ("nn", 16, 32, 330),
+        ("tn", 32, 16, 330),
+        ("tn", 22, 30, 16),
+    ];
+    for (seed, &(name, m, k, n)) in shapes.iter().enumerate() {
+        let seed = 100 + 3 * seed as u64;
+        let b = edge_case_matrix(k, n, seed + 1);
+        let start = edge_case_matrix(m, n, seed + 2);
+        let mut got = start.data().to_vec();
+        let mut want = start.data().to_vec();
+        if name == "nn" {
+            let a = edge_case_matrix(m, k, seed);
+            kernels::matmul_nn(m, k, n, a.data(), b.data(), &mut got);
+            kernels::matmul_nn_naive(m, k, n, a.data(), b.data(), &mut want);
+        } else {
+            let a = edge_case_matrix(k, m, seed);
+            kernels::matmul_tn(k, m, n, a.data(), b.data(), &mut got);
+            kernels::matmul_tn_naive(k, m, n, a.data(), b.data(), &mut want);
+        }
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{name} {m}x{k}x{n}, element {i}: {g} vs {w}"
+            );
         }
     }
 }

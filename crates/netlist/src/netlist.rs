@@ -14,13 +14,45 @@ use std::collections::HashMap;
 /// Construction is incremental ([`Netlist::add_input`], [`Netlist::add_gate`],
 /// [`Netlist::mark_output`]) and finished with [`Netlist::validate`], which
 /// checks arities, dangling references and combinational cycles.
+///
+/// Deserializing rebuilds the signal-name index and rejects a duplicate
+/// name or an out-of-range gate id with the structured error.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "NetlistData")]
 pub struct Netlist {
     name: String,
     gates: Vec<Gate>,
     outputs: Vec<GateId>,
     #[serde(skip)]
     name_map: HashMap<String, GateId>,
+}
+
+/// The serialized fields of a [`Netlist`], without its name index.
+#[derive(Deserialize)]
+struct NetlistData {
+    name: String,
+    gates: Vec<Gate>,
+    outputs: Vec<GateId>,
+}
+
+impl TryFrom<NetlistData> for Netlist {
+    type Error = NetlistError;
+
+    fn try_from(data: NetlistData) -> Result<Self> {
+        let mut nl = Netlist::new(data.name);
+        for gate in data.gates {
+            nl.insert_named(gate)?;
+        }
+        let fanins = nl.gates.iter().flat_map(|g| &g.fanin);
+        if let Some(&id) = fanins
+            .chain(&data.outputs)
+            .find(|id| id.index() >= nl.len())
+        {
+            return Err(NetlistError::InvalidGateId(id));
+        }
+        nl.outputs = data.outputs;
+        Ok(nl)
+    }
 }
 
 impl Netlist {
@@ -541,5 +573,34 @@ mod tests {
         assert_eq!(nl.num_outputs(), 2);
         nl.unmark_output(s);
         assert_eq!(nl.num_outputs(), 1);
+    }
+
+    #[test]
+    fn json_round_trip_rebuilds_the_name_index() {
+        let original = half_adder();
+        let json = serde_json::to_string(&original).unwrap();
+        let back: Netlist = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, original);
+        for name in ["a", "b", "sum", "carry"] {
+            assert_eq!(back.find(name), original.find(name), "{name}");
+        }
+        let fresh = back.fresh_name("a");
+        assert_eq!(
+            back.find(&fresh),
+            None,
+            "fresh_name gave the taken {fresh:?}"
+        );
+        assert_eq!(fresh, original.fresh_name("a"));
+    }
+
+    #[test]
+    fn json_with_a_duplicate_name_or_a_dangling_id_is_rejected() {
+        let json = serde_json::to_string(&half_adder()).unwrap();
+        let duplicate = json.replace("\"carry\"", "\"sum\"");
+        let dangling = json.replace("\"outputs\":[2,3]", "\"outputs\":[2,9]");
+        for bad in [duplicate, dangling] {
+            assert_ne!(bad, json, "the edit must apply");
+            assert!(serde_json::from_str::<Netlist>(&bad).is_err(), "{bad}");
+        }
     }
 }

@@ -13,7 +13,10 @@
 //!   as the payload alone; deserialized as the first variant that accepts
 //!   the data),
 //! * simple generic parameters (`struct GaResult<G> { ... }`), which get a
-//!   `G: serde::Serialize` / `G: serde::Deserialize` bound.
+//!   `G: serde::Serialize` / `G: serde::Deserialize` bound,
+//! * the container attribute `#[serde(try_from = "Repr")]`: deserialize
+//!   `Repr`, then convert it with `TryFrom`, whose error becomes the
+//!   deserialization error (serializing is unaffected, as in real serde).
 
 #![forbid(unsafe_code)]
 
@@ -58,6 +61,8 @@ struct Item {
     generics: Vec<GenParam>,
     kind: ItemKind,
     untagged: bool,
+    /// The `Repr` of `#[serde(try_from = "Repr")]`.
+    try_from: Option<String>,
 }
 
 // ---------------------------------------------------------------------------
@@ -307,7 +312,12 @@ fn parse_variants(group: TokenStream) -> Vec<Variant> {
 
 fn parse_item(input: TokenStream) -> Item {
     let mut cur = Cursor::new(input);
-    let untagged = cur.skip_attributes().iter().any(|w| w == "untagged");
+    let words = cur.skip_attributes();
+    let untagged = words.iter().any(|w| w == "untagged");
+    let try_from = words.iter().find_map(|w| {
+        let (key, repr) = w.split_once('=')?;
+        (key.trim() == "try_from").then(|| repr.trim().trim_matches('"').to_string())
+    });
     cur.skip_visibility();
     let keyword = cur.expect_ident("struct/enum keyword");
     let name = cur.expect_ident("type name");
@@ -346,6 +356,7 @@ fn parse_item(input: TokenStream) -> Item {
         generics,
         kind,
         untagged,
+        try_from,
     }
 }
 
@@ -503,6 +514,12 @@ fn named_fields_ctor(fields: &[Field], map_expr: &str, type_name: &str) -> Strin
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
+        _ if item.try_from.is_some() => ::std::format!(
+            "let repr: {} = serde::Deserialize::from_value(v)?;\n\
+             ::core::convert::TryFrom::try_from(repr)\
+             .map_err(|e| serde::DeError::custom(::std::format!(\"{{e}}\")))",
+            item.try_from.as_deref().unwrap_or_default()
+        ),
         ItemKind::Struct(Fields::Named(fields)) => {
             ::std::format!(
                 "let map = v.as_map().ok_or_else(|| serde::DeError::custom(\
